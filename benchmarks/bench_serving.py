@@ -12,8 +12,9 @@ stats, neighborhoods).  Measures:
 - *service-time* quantiles from the canonical request records
   (DESIGN.md §15): dispatch-to-write-end per request, excluding
   accept-queue and thread-scheduling wait — the stable tail signal
-  that lets CI gate p95 again (client-observed p95 sits on the
-  queueing cluster and is info-only),
+  that lets CI gate p95 again (client-observed p95 sits on the ~1 s
+  cluster of SYN retries after listen-backlog overflow and is
+  info-only),
 - mean queue wait (client-observed latency minus recorded service
   time), recorded separately so queue pressure is visible, not mixed
   into the handler tail,

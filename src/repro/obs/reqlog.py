@@ -17,15 +17,17 @@ The pieces:
   go through one injectable clock, so a serial run under a
   :class:`~repro.obs.clock.FakeClock` produces *byte-identical* record
   streams (the determinism contract every obs artifact honours).
-- :class:`RecordBuilder` — one in-flight request's mutable state,
-  created by :meth:`RequestLog.start` and published by
-  :meth:`RequestLog.commit` (exactly once; commits are idempotent).
+- :class:`RecordBuilder` — one in-flight request's mutable state.  Its
+  commit builds the immutable record exactly once (commits are
+  idempotent) and hands it to the builder's ``publish`` consumer — the
+  ring for :meth:`RequestLog.start` builders; the serving tier's
+  consumers (ring, SLO) for the builder every data dispatch opens.
 - **ambient helpers** — the builder is installed in a
   :mod:`contextvars` scope for the duration of a dispatch, so layers
   that should not know about request logging (admission control, the
   chaos wrapper, the response cache path) can still time themselves
   (:func:`layer`) or attach facts (:func:`annotate`) with a no-op cost
-  when no record is being built.
+  outside a request.
 - :func:`wire_scope` — the HTTP handler's seam.  Dispatch owns record
   *creation*; the wire owns the facts only it can know (final wire
   status — e.g. the 499 mid-body-abort sentinel — serialize and
@@ -88,13 +90,13 @@ def encode_record(record: dict) -> bytes:
 class RecordBuilder:
     """Mutable state of one in-flight request's record.
 
-    Created by :meth:`RequestLog.start`; fields are plain attributes so
-    the dispatch hot path pays attribute stores, not dict churn.  The
-    immutable record dict is built once, at commit.
+    Fields are plain attributes so the dispatch hot path pays attribute
+    stores, not dict churn.  The immutable record dict is built once, at
+    commit, and handed to ``publish``.
     """
 
     __slots__ = (
-        "log",
+        "publish",
         "clock",
         "start_s",
         "path",
@@ -110,14 +112,16 @@ class RecordBuilder:
         "trace_id",
         "span_id",
         "layers",
-        "committed",
         "record",
     )
 
     def __init__(
-        self, log: "RequestLog", clock: Callable[[], float], path: str
+        self,
+        clock: Callable[[], float],
+        path: str,
+        publish: Callable[[dict], None],
     ) -> None:
-        self.log = log
+        self.publish = publish
         self.clock = clock
         self.start_s = clock()
         self.path = path
@@ -133,17 +137,19 @@ class RecordBuilder:
         self.trace_id: str | None = None
         self.span_id: int | None = None
         self.layers: dict[str, float] = {}
-        self.committed = False
         self.record: dict | None = None
+
+    @property
+    def committed(self) -> bool:
+        return self.record is not None
 
     def annotate(self, **fields) -> None:
         """Set record fields by name (unknown names are a bug)."""
         for name, value in fields.items():
             if name not in self.__slots__ or name in (
-                "log",
+                "publish",
                 "clock",
                 "layers",
-                "committed",
                 "record",
             ):
                 raise AttributeError(f"no annotatable record field {name!r}")
@@ -166,7 +172,42 @@ class RecordBuilder:
         if scope is not None:
             scope.builder = self
             return None
-        return self.log.commit(self)
+        return self.commit()
+
+    def commit(self) -> dict:
+        """Build the immutable record and publish it, exactly once.
+
+        Idempotent: a second commit (e.g. the wire scope's safety net
+        after an explicit commit) returns the already-published record.
+        """
+        if self.record is not None:
+            return self.record
+        record = {
+            "start_s": _seconds(self.start_s),
+            "total_s": _seconds(self.clock() - self.start_s),
+            "path": self.path,
+            "route": self.route,
+            "status": int(self.status if self.status is not None else 0),
+            "admission": self.admission,
+            "breaker": self.breaker,
+            "cache": self.cache,
+            "degraded": bool(self.degraded),
+            "fault": self.fault,
+            "deadline_remaining_s": (
+                None
+                if self.deadline_remaining_s is None
+                else _seconds(self.deadline_remaining_s)
+            ),
+            "bytes_out": int(self.bytes_out),
+            "trace_id": self.trace_id or "-",
+            "span_id": self.span_id,
+            "layers": {
+                name: _seconds(self.layers.get(name, 0.0)) for name in LAYERS
+            },
+        }
+        self.record = record
+        self.publish(record)
+        return record
 
 
 class RequestLog:
@@ -201,42 +242,16 @@ class RequestLog:
     # -- building -------------------------------------------------------------
 
     def start(self, path: str) -> RecordBuilder:
-        """Open a record for one request (reads the clock once)."""
-        return RecordBuilder(self, self.clock, path)
+        """Open a record for one request that commits into this ring
+        (reads the clock once)."""
+        return RecordBuilder(self.clock, path, self.append)
 
     def commit(self, builder: RecordBuilder) -> dict:
-        """Publish a builder as an immutable record, exactly once.
+        """Commit ``builder`` (idempotent); returns its record."""
+        return builder.commit()
 
-        Idempotent: a second commit (e.g. the wire scope's safety net
-        after an explicit commit) returns the already-published record.
-        """
-        if builder.committed:
-            return builder.record  # type: ignore[return-value]
-        total = builder.clock() - builder.start_s
-        layers = {
-            name: _seconds(builder.layers.get(name, 0.0)) for name in LAYERS
-        }
-        record = {
-            "start_s": _seconds(builder.start_s),
-            "total_s": _seconds(total),
-            "path": builder.path,
-            "route": builder.route,
-            "status": int(builder.status if builder.status is not None else 0),
-            "admission": builder.admission,
-            "breaker": builder.breaker,
-            "cache": builder.cache,
-            "degraded": bool(builder.degraded),
-            "fault": builder.fault,
-            "deadline_remaining_s": (
-                None
-                if builder.deadline_remaining_s is None
-                else _seconds(builder.deadline_remaining_s)
-            ),
-            "bytes_out": int(builder.bytes_out),
-            "trace_id": builder.trace_id or "-",
-            "span_id": builder.span_id,
-            "layers": layers,
-        }
+    def append(self, record: dict) -> None:
+        """Number a committed record and retain it (and sink it)."""
         with self._lock:
             record["seq"] = self._seq
             self._seq += 1
@@ -246,11 +261,8 @@ class RequestLog:
                 self._ring[self._next_slot] = record
                 self._next_slot = (self._next_slot + 1) % self.capacity
             sink = self._sink
-        builder.committed = True
-        builder.record = record
         if sink is not None:
             sink.write_line(encode_record(record))
-        return record
 
     # -- reading --------------------------------------------------------------
 
@@ -312,11 +324,8 @@ def current_builder() -> RecordBuilder | None:
 
 
 @contextmanager
-def building(builder: RecordBuilder | None):
+def building(builder: RecordBuilder):
     """Install ``builder`` as the ambient record for the block."""
-    if builder is None:
-        yield None
-        return
     token = _CURRENT.set(builder)
     try:
         yield builder
@@ -393,7 +402,7 @@ class WireScope:
             builder.trace_id = self.trace_id
         if self.span_id is not None:
             builder.span_id = self.span_id
-        return builder.log.commit(builder)
+        return builder.commit()
 
 
 @contextmanager
@@ -413,8 +422,8 @@ def wire_scope(
         yield scope
     finally:
         _WIRE.reset(token)
-        if scope.builder is not None and not scope.builder.committed:
-            scope.builder.log.commit(scope.builder)
+        if scope.builder is not None:
+            scope.builder.commit()
 
 
 # -- offline readers ----------------------------------------------------------

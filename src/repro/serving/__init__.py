@@ -15,12 +15,13 @@ trip on consecutive deadline blowouts, and
 :class:`~repro.serving.chaos.ChaosDispatch` injects seeded read-path
 faults for deterministic storm tests.
 
-Request-level observability (DESIGN.md §15): attach a
+Request-level observability (DESIGN.md §15): every dispatched data
+request builds one canonical record with a per-layer latency
+breakdown, and its commit feeds whatever consumes it — attach a
 :class:`~repro.obs.reqlog.RequestLog` and an
 :class:`~repro.obs.slo.SLOTracker` to the service (or via
-``repro serve-analytics --request-log/--slo-*``) and every dispatched
-data request leaves one canonical record with a per-layer latency
-breakdown, inspectable live at ``/debug/requests`` and ``/debug/slo``.
+``repro serve-analytics --request-log/--slo-*``) to inspect them live
+at ``/debug/requests`` and ``/debug/slo``.
 """
 
 from repro.serving.admission import (

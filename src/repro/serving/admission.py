@@ -199,33 +199,32 @@ class AdmissionController:
             "breaker": 0,
         }
         self.admitted = 0
-        self._m_inflight = self._m_shed = None
-        self._m_timeouts = self._m_transitions = self._m_depth = None
-        if obs is not None:
-            self._m_inflight = obs.gauge(
-                "serving_inflight",
-                "Requests currently past admission, in dispatch",
-            )
-            self._m_shed = obs.counter(
-                "serving_shed",
-                "Requests shed by admission control, by route and reason",
-                ("route", "reason"),
-            )
-            self._m_timeouts = obs.counter(
-                "serving_deadline_timeouts",
-                "Requests that blew their deadline, by route",
-                ("route",),
-            )
-            self._m_transitions = obs.counter(
-                "serving_breaker_transitions",
-                "Circuit breaker state changes, by route and new state",
-                ("route", "state"),
-            )
-            self._m_depth = obs.histogram(
-                "serving_queue_depth",
-                "In-flight depth observed at each admission decision",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
-            )
+        if obs is None:
+            obs = Obs()
+        self._m_inflight = obs.gauge(
+            "serving_inflight",
+            "Requests currently past admission, in dispatch",
+        )
+        self._m_shed = obs.counter(
+            "serving_shed",
+            "Requests shed by admission control, by route and reason",
+            ("route", "reason"),
+        )
+        self._m_timeouts = obs.counter(
+            "serving_deadline_timeouts",
+            "Requests that blew their deadline, by route",
+            ("route",),
+        )
+        self._m_transitions = obs.counter(
+            "serving_breaker_transitions",
+            "Circuit breaker state changes, by route and new state",
+            ("route", "state"),
+        )
+        self._m_depth = obs.histogram(
+            "serving_queue_depth",
+            "In-flight depth observed at each admission decision",
+            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
+        )
 
     # -- internals ------------------------------------------------------------
 
@@ -245,8 +244,7 @@ class AdmissionController:
 
     def _shed(self, route: str, reason: str, retry_after: float) -> None:
         self.shed_counts[reason] += 1
-        if self._m_shed is not None:
-            self._m_shed.inc(route=route, reason=reason)
+        self._m_shed.inc(route=route, reason=reason)
         raise OverloadedError(
             f"overloaded: shed by {reason} guard on {route}",
             retry_after=retry_after,
@@ -274,8 +272,7 @@ class AdmissionController:
         # the ambient request record's "admission" layer, so queue
         # pressure at the door is attributable per request.
         with reqlog.layer("admission"), self._lock:
-            if self._m_depth is not None:
-                self._m_depth.observe(self._inflight)
+            self._m_depth.observe(self._inflight)
             # Budget checks run before the breaker: allow() may consume
             # the single half-open probe slot, so nothing that can shed
             # is allowed after it — a later shed would leak the slot and
@@ -295,16 +292,14 @@ class AdmissionController:
             self._route_inflight[route] = route_inflight + 1
             self.admitted += 1
             reqlog.annotate(admission="admitted")
-            if self._m_inflight is not None:
-                self._m_inflight.set(self._inflight)
+            self._m_inflight.set(self._inflight)
         try:
             yield
         finally:
             with self._lock:
                 self._inflight -= 1
                 self._route_inflight[route] -= 1
-                if self._m_inflight is not None:
-                    self._m_inflight.set(self._inflight)
+                self._m_inflight.set(self._inflight)
 
     # -- breaker feedback ----------------------------------------------------
 
@@ -312,16 +307,15 @@ class AdmissionController:
         """The route served within budget; resets/closes its breaker."""
         with self._lock:
             changed = self._breaker(route).record_success()
-        if changed is not None and self._m_transitions is not None:
+        if changed is not None:
             self._m_transitions.inc(route=route, state=changed)
 
     def record_timeout(self, route: str) -> None:
         """The route blew a deadline; may trip its breaker."""
         with self._lock:
             changed = self._breaker(route).record_timeout()
-        if self._m_timeouts is not None:
-            self._m_timeouts.inc(route=route)
-        if changed is not None and self._m_transitions is not None:
+        self._m_timeouts.inc(route=route)
+        if changed is not None:
             self._m_transitions.inc(route=route, state=changed)
 
     def record_abandoned(self, route: str) -> None:

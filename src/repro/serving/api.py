@@ -61,14 +61,13 @@ from repro.serving.cache import ResponseCache
 from repro.serving.store import AnalyticsStore
 from repro.steamapi.deadline import check_deadline, current_deadline
 from repro.steamapi.errors import (
-    ApiError,
     BadRequestError,
     DeadlineExceededError,
     NotFoundError,
     OverloadedError,
     ServiceUnavailableError,
+    status_of,
 )
-from repro.steamapi.faults import AbortedResponse
 from repro.steamapi.http_server import (
     ApiHttpServer,
     HttpLimits,
@@ -246,14 +245,15 @@ class AnalyticsService:
         request_log: RequestLog | None = None,
         slo: SLOTracker | None = None,
     ) -> None:
+        if obs is None:
+            obs = Obs()
         self._store = store
         self.obs = obs
-        #: One canonical record per dispatched data request (DESIGN.md
-        #: §15); probes and debug endpoints are exempt so introspecting
-        #: the ring doesn't fill it with introspection traffic.
+        #: Optional consumers of each data dispatch's record (DESIGN.md
+        #: §15): the ring and the per-route error budget.  Probes and
+        #: debug endpoints build no record, so introspection traffic
+        #: never fills the ring.
         self.request_log = request_log
-        #: Error-budget accounting per route template, fed on every
-        #: data-dispatch exit path.
         self.slo = slo
         self.cache = ResponseCache(maxsize=cache_size, obs=obs)
         if admission is None:
@@ -269,13 +269,9 @@ class AnalyticsService:
         #: progress; reads keep serving the old store, flagged degraded.
         self._degraded_depth = 0
         self._degraded_lock = threading.Lock()
-        self._m_degraded = (
-            obs.counter(
-                "serving_degraded_responses",
-                "Responses served stale-while-swap, flagged degraded",
-            )
-            if obs is not None
-            else None
+        self._m_degraded = obs.counter(
+            "serving_degraded_responses",
+            "Responses served stale-while-swap, flagged degraded",
         )
 
     @property
@@ -364,11 +360,13 @@ class AnalyticsService:
         completion resets it; any other failure releases a held
         half-open probe slot without moving the breaker.
 
-        When a :class:`~repro.obs.reqlog.RequestLog` is attached, every
-        data dispatch — success, shed, crash, abort, blown deadline —
-        produces exactly one canonical record; when an
-        :class:`~repro.obs.slo.SLOTracker` is attached, the same exit
-        status and latency feed the route's error budget.
+        Every data dispatch — success, shed, crash, abort, blown
+        deadline — builds exactly one canonical record, its status
+        given by :func:`~repro.steamapi.errors.status_of` like the
+        wire's.  Under an HTTP handler the record commits after the
+        socket write; otherwise it commits here.  The commit feeds the
+        attached :class:`~repro.obs.reqlog.RequestLog` and
+        :class:`~repro.obs.slo.SLOTracker`, if any (:meth:`_publish`).
         """
         for pattern, template, method, cacheable in _ROUTES:
             match = pattern.match(path)
@@ -378,65 +376,39 @@ class AnalyticsService:
             template, method, match, cacheable = "<unmatched>", None, None, False
         if method in _PROBE_METHODS:
             return getattr(self, method)(self._store, match, params)
-        log, slo = self.request_log, self.slo
-        if log is None and slo is None:
-            return self._dispatch_data(
-                path, params, match, template, method, cacheable
-            )
-        builder = log.start(path) if log is not None else None
-        if builder is not None:
-            builder.route = template
-        start_s = (
-            builder.start_s
-            if builder is not None
-            else slo.clock()  # type: ignore[union-attr]
+        log = self.request_log
+        builder = reqlog.RecordBuilder(
+            log.clock if log is not None else self.obs.clock,
+            path,
+            self._publish,
         )
+        builder.route = template
         status = 200
         try:
             with reqlog.building(builder):
                 return self._dispatch_data(
                     path, params, match, template, method, cacheable
                 )
-        except AbortedResponse:
-            # The wire will say 200 and cut the body; telemetry (and
-            # the record) carry the 499 sentinel, like the HTTP layer.
-            status = 499
-            raise
-        except OverloadedError as exc:
-            status = exc.status
-            if builder is not None:
-                builder.annotate(admission=f"shed:{exc.reason}")
-            raise
-        except ApiError as exc:
-            status = exc.status
-            raise
-        except (KeyError, ValueError, TypeError):
-            # The HTTP layer maps these to a 400; mirror it so the
-            # record's status matches the wire.
-            status = 400
-            raise
-        except BaseException:
-            status = 500
+        except BaseException as exc:
+            status = status_of(exc)
+            if isinstance(exc, OverloadedError):
+                builder.admission = f"shed:{exc.reason}"
             raise
         finally:
-            latency = None
-            if builder is not None:
-                deadline = current_deadline()
-                if deadline is not None:
-                    builder.deadline_remaining_s = deadline.remaining()
-                record = builder.finish(status)
-                # Deferred commits (a wire scope will fold in
-                # serialize/write) still need a latency for the SLO:
-                # the dispatch-side service time.
-                latency = (
-                    record["total_s"]
-                    if record is not None
-                    else builder.clock() - builder.start_s
-                )
-            if slo is not None:
-                if latency is None:
-                    latency = slo.clock() - start_s
-                slo.record(template, status, latency)
+            deadline = current_deadline()
+            if deadline is not None:
+                builder.deadline_remaining_s = deadline.remaining()
+            builder.finish(status)
+
+    def _publish(self, record: dict) -> None:
+        """Hand a committed record to the attached consumers.  The SLO
+        goes first, so a record visible in the ring is already counted
+        in its route's error budget."""
+        slo, log = self.slo, self.request_log
+        if slo is not None:
+            slo.record(record["route"], record["status"], record["total_s"])
+        if log is not None:
+            log.append(record)
 
     def _dispatch_data(
         self,
@@ -472,8 +444,7 @@ class AnalyticsService:
         if self._degraded_depth > 0:
             # Never mutate the cached body; decorate an outgoing copy.
             payload = {**payload, "degraded": True}
-            if self._m_degraded is not None:
-                self._m_degraded.inc()
+            self._m_degraded.inc()
             reqlog.annotate(degraded=True)
         return payload
 
@@ -605,11 +576,12 @@ def serve_analytics(
     tunes the overload guard on a service built here; ``limits``
     configures socket-level protections and the default request budget
     (see :class:`~repro.steamapi.http_server.HttpLimits`);
-    ``request_log`` / ``slo`` attach request-level observability
-    (DESIGN.md §15) to a service built here."""
+    ``obs``, ``request_log`` and ``slo`` configure a service built
+    here (DESIGN.md §15).  ``GET /metrics`` serves the service's own
+    registry, so the HTTP, cache, admission and degraded series land
+    in one place."""
     if isinstance(store, AnalyticsService):
         service = store
-        obs = obs if obs is not None else service.obs
     else:
         service = AnalyticsService(
             store,
@@ -623,7 +595,7 @@ def serve_analytics(
         service.dispatch,
         host=host,
         port=port,
-        obs=obs,
+        obs=service.obs,
         access_log=access_log,
         route_of=service.route_of,
         limits=limits,

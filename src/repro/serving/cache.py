@@ -62,17 +62,17 @@ class ResponseCache:
         self._misses = 0
         self._evictions = 0
         self._retargeted = 0
-        self._m_hits = self._m_misses = self._m_evictions = None
-        if obs is not None:
-            self._m_hits = obs.counter(
-                "serving_cache_hits", "Serving responses served from cache"
-            )
-            self._m_misses = obs.counter(
-                "serving_cache_misses", "Serving responses computed fresh"
-            )
-            self._m_evictions = obs.counter(
-                "serving_cache_evictions", "Serving cache LRU evictions"
-            )
+        if obs is None:
+            obs = Obs()
+        self._m_hits = obs.counter(
+            "serving_cache_hits", "Serving responses served from cache"
+        )
+        self._m_misses = obs.counter(
+            "serving_cache_misses", "Serving responses computed fresh"
+        )
+        self._m_evictions = obs.counter(
+            "serving_cache_evictions", "Serving cache LRU evictions"
+        )
 
     def get(self, key: str) -> Any | None:
         """The cached payload, or ``None`` on a miss.
@@ -87,12 +87,10 @@ class ResponseCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                if self._m_hits is not None:
-                    self._m_hits.inc()
+                self._m_hits.inc()
                 return entry.payload
             self._misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
+            self._m_misses.inc()
             return None
 
     def put(
@@ -116,8 +114,7 @@ class ResponseCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
 
     def retarget(
         self,
@@ -148,7 +145,7 @@ class ResponseCache:
             self._entries = survivors
             self._evictions += evicted
             self._retargeted += kept
-            if self._m_evictions is not None and evicted:
+            if evicted:
                 self._m_evictions.inc(evicted)
             return {"evicted": evicted, "retargeted": kept}
 

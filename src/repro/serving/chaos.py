@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs import reqlog
+from repro.obs import Obs, reqlog
 from repro.serving.api import AnalyticsService
 from repro.steamapi.faults import AbortedResponse, FaultChooser
 
@@ -132,7 +132,7 @@ class ChaosDispatch:
         self,
         inner,
         plan: ServingFaultPlan,
-        obs=None,
+        obs: Obs | None = None,
         sleep=time.sleep,
     ) -> None:
         self.inner = inner
@@ -144,14 +144,12 @@ class ChaosDispatch:
         self.fault_counts: dict[str, int] = {
             k: 0 for k in SERVING_FAULT_KINDS
         }
-        self._m_injected = (
-            obs.counter(
-                "serving_injected_faults",
-                "Read-path faults injected by the chaos wrapper, by kind",
-                ("kind",),
-            )
-            if obs is not None
-            else None
+        if obs is None:
+            obs = Obs()
+        self._m_injected = obs.counter(
+            "serving_injected_faults",
+            "Read-path faults injected by the chaos wrapper, by kind",
+            ("kind",),
         )
 
     @property
@@ -191,8 +189,7 @@ class ChaosDispatch:
             # Tag the ambient request record so a chaos storm's records
             # say which fault produced each 499/500/504.
             reqlog.annotate(fault=kind)
-            if self._m_injected is not None:
-                self._m_injected.inc(kind=kind)
+            self._m_injected.inc(kind=kind)
         if kind == "crash":
             raise InjectedCrash(f"injected handler crash on {path}")
         if kind == "stall":
@@ -229,9 +226,7 @@ class ChaosAnalyticsService(AnalyticsService):
         **kwargs,
     ) -> None:
         super().__init__(store, **kwargs)
-        self.chaos = ChaosDispatch(
-            None, plan, obs=kwargs.get("obs"), sleep=sleep
-        )
+        self.chaos = ChaosDispatch(None, plan, obs=self.obs, sleep=sleep)
 
     def _serve(self, path, params, match, method, cacheable):
         serve = super()._serve

@@ -164,9 +164,12 @@ def _sample_exact(
     the chunk's max k) does nearly all the selection work; the per-row
     refinement only re-partitions the already-small candidate set.
     """
-    inv_w = np.full(n_products, np.inf, dtype=np.float32)
+    # Zero-weight products get an inf key *after* the multiply: an
+    # inf factor would turn an Exp(1) draw of exactly 0 into NaN.
+    inv_w = np.ones(n_products, dtype=np.float32)
     positive = weights > 0
     inv_w[positive] = 1.0 / weights[positive].astype(np.float32)
+    zero_weight = np.flatnonzero(~positive)
     users = users[np.argsort(counts[users], kind="stable")]
     out_user: list[np.ndarray] = []
     out_prod: list[np.ndarray] = []
@@ -178,6 +181,7 @@ def _sample_exact(
             size=(len(block), n_products), dtype=np.float32
         )
         keys *= inv_w[None, :]
+        keys[:, zero_weight] = np.inf
         cand = np.argpartition(keys, kmax - 1, axis=1)[:, :kmax]
         for row, (user, k) in enumerate(zip(block, ks)):
             top = cand[row]

@@ -14,7 +14,9 @@ __all__ = [
     "MalformedResponseError",
     "ServiceUnavailableError",
     "DeadlineExceededError",
+    "AbortedResponse",
     "error_for_status",
+    "status_of",
 ]
 
 
@@ -123,6 +125,18 @@ class MalformedResponseError(ApiError):
         self.body = body
 
 
+class AbortedResponse(Exception):
+    """An injected mid-body abort: headers promise ``len(body)`` bytes,
+    only ``cut`` are written, then the connection closes.  Not an
+    :class:`ApiError`: the wire says 200, the fault lives below the JSON
+    protocol (the HTTP handler replays it on the real socket)."""
+
+    def __init__(self, body: bytes, cut: int) -> None:
+        super().__init__(f"aborted response body ({cut}/{len(body)} bytes)")
+        self.body = body
+        self.cut = cut
+
+
 #: ``OverloadedError`` deliberately stays out of this table: it shares
 #: 429 with ``RateLimitedError``, and a client reconstructing a typed
 #: error from a bare status must get the canonical class.
@@ -146,3 +160,19 @@ def error_for_status(status: int, message: str = "") -> ApiError:
     """Reconstruct the typed error for an HTTP status code."""
     cls = _BY_STATUS.get(status, ApiError)
     return cls(message)
+
+
+def status_of(exc: BaseException) -> int:
+    """The one exception → status policy, shared by the HTTP handler
+    and the serving tier's request records: a truncation carrying its
+    broken body ships as 200, a mid-body abort is the nginx-style 499
+    sentinel, malformed parameters are 400, a server bug is 500."""
+    if isinstance(exc, MalformedResponseError) and exc.body is not None:
+        return 200
+    if isinstance(exc, AbortedResponse):
+        return 499
+    if isinstance(exc, ApiError):
+        return exc.status
+    if isinstance(exc, (KeyError, ValueError, TypeError)):
+        return 400
+    return 500

@@ -32,6 +32,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.steamapi.errors import (
+    AbortedResponse,
     ApiError,
     MalformedResponseError,
     RateLimitedError,
@@ -50,24 +51,6 @@ __all__ = [
 
 #: Injectable failure modes, in the order the injector's RNG considers them.
 FAULT_KINDS = ("rate_limit", "server_error", "timeout", "malformed")
-
-
-class AbortedResponse(Exception):
-    """An injected mid-body abort: the server sent response headers
-    promising ``len(body)`` bytes, wrote only ``cut`` of them, then
-    closed the connection — the classic "upstream died mid-transfer".
-
-    Deliberately *not* an :class:`~repro.steamapi.errors.ApiError`:
-    there is no status code to map, the fault lives below the JSON
-    protocol.  The HTTP handler catches it and replays the abort on the
-    real socket (see :mod:`repro.steamapi.http_server`); the serving
-    chaos harness (:mod:`repro.serving.chaos`) raises it.
-    """
-
-    def __init__(self, body: bytes, cut: int) -> None:
-        super().__init__(f"aborted response body ({cut}/{len(body)} bytes)")
-        self.body = body
-        self.cut = cut
 
 
 class FaultChooser:

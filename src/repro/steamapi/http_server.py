@@ -21,7 +21,9 @@ path and status and histograms request latency; ``GET /metrics``
 exposes it in Prometheus text exposition format.  Callers with
 parameterized paths (``/users/<id>/summary``) pass ``route_of`` to
 collapse raw paths onto route templates, keeping metric label
-cardinality bounded.  Access logging goes through the
+cardinality bounded.  Exceptions escaping dispatch are accounted under
+:func:`~repro.steamapi.errors.status_of`, the same policy the serving
+tier's request records use.  Access logging goes through the
 ``repro.steamapi.http`` logger and is *off* by default — chaos tests
 hammer the server with thousands of requests and must not spam stderr —
 and on for the ``serve`` CLI command unless ``--quiet``.
@@ -58,16 +60,13 @@ from repro.steamapi.deadline import (
     parse_deadline_value,
 )
 from repro.steamapi.errors import (
+    AbortedResponse,
     ApiError,
     BadRequestError,
-    MalformedResponseError,
     RateLimitedError,
+    status_of,
 )
-from repro.steamapi.faults import (
-    AbortedResponse,
-    FaultInjectingTransport,
-    FaultPlan,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultPlan
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 
@@ -156,11 +155,15 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
         return [thread for thread in threads if thread.is_alive()]
 
 
+def _identity(path: str) -> str:
+    return path
+
+
 def _make_handler(
     dispatch,
     obs: Obs,
     access_log: bool,
-    route_of: Callable[[str], str] | None = None,
+    route_of: Callable[[str], str] = _identity,
     limits: HttpLimits | None = None,
 ):
     limits = limits or HttpLimits()
@@ -205,29 +208,21 @@ def _make_handler(
                 self._account(parsed.path, 200, start)
                 return
             if len(self.requestline) > limits.max_request_line:
-                self._account(
-                    parsed.path,
-                    self._reply_error(
-                        BadRequestError(
-                            f"request line exceeds "
-                            f"{limits.max_request_line} bytes"
-                        ),
-                        status=414,
+                self._reply_error(
+                    BadRequestError(
+                        f"request line exceeds "
+                        f"{limits.max_request_line} bytes"
                     ),
-                    start,
+                    414,
                 )
+                self._account(parsed.path, 414, start)
                 return
             if len(self.headers.items()) > limits.max_headers:
-                self._account(
-                    parsed.path,
-                    self._reply_error(
-                        BadRequestError(
-                            f"more than {limits.max_headers} headers"
-                        ),
-                        status=431,
-                    ),
-                    start,
+                self._reply_error(
+                    BadRequestError(f"more than {limits.max_headers} headers"),
+                    431,
                 )
+                self._account(parsed.path, 431, start)
                 return
             params = {
                 name: values[0]
@@ -277,40 +272,6 @@ def _make_handler(
                         serialize_s = t_write - t_serialize
                         write_s = obs.clock() - t_write
                         bytes_out = len(body)
-                    except MalformedResponseError as exc:
-                        if exc.body is not None:
-                            # Injected truncation: ship the broken bytes as a
-                            # "successful" response, exactly like a connection
-                            # dropped mid-transfer behind a buffering proxy.
-                            self._reply(200, exc.body)
-                            bytes_out = len(exc.body)
-                        else:
-                            status = self._reply_error(exc)
-                    except AbortedResponse as exc:
-                        # Injected mid-body abort: promise the full length,
-                        # deliver a prefix, slam the connection — the client
-                        # must see an incomplete read, not valid JSON.  The
-                        # wire says 200 (that's the point of the fault), but
-                        # telemetry records the nginx-style 499 sentinel so
-                        # metrics, spans, and the access log separate
-                        # deliberate aborts from clean successes.
-                        m_aborted.inc()
-                        status = 499
-                        t_write = obs.clock()
-                        self._reply_aborted(exc)
-                        write_s = obs.clock() - t_write
-                        bytes_out = exc.cut
-                    except ApiError as exc:
-                        status = self._reply_error(exc)
-                    except (KeyError, ValueError, TypeError) as exc:
-                        # Malformed query strings (non-numeric ids, missing
-                        # required params) must come back as a 400 JSON error,
-                        # not kill the handler thread with a raw traceback.
-                        status = self._reply_error(
-                            BadRequestError(
-                                f"malformed request parameters: {exc}"
-                            )
-                        )
                     except OSError:
                         # Socket-level failure (client gone mid-write, send
                         # timeout): there is no one to reply to — let the
@@ -318,31 +279,44 @@ def _make_handler(
                         # (The wire scope's exit still commits any record
                         # the dispatch underneath built.)
                         raise
-                    except Exception:
-                        # Anything else escaping dispatch is a server bug:
-                        # answer with an *opaque* 500 (no message — internals
-                        # don't leak to clients), count it, and keep the
-                        # handler thread alive for the next request.
-                        status = 500
-                        label = (
-                            route_of(parsed.path)
-                            if route_of is not None
-                            else parsed.path
-                        )
-                        m_internal.inc(path=label)
-                        access_logger.exception(
-                            "internal error dispatching %s (trace=%s)",
-                            parsed.path,
-                            trace_id or "-",
-                        )
-                        try:
-                            self._reply(
-                                500,
-                                b'{"error": "InternalError"}',
+                    except Exception as exc:
+                        # status_of picks the status; each branch below
+                        # picks only the reply.
+                        status = status_of(exc)
+                        if status == 200:
+                            # status_of's injected truncation: ship the
+                            # broken bytes as a "successful" response,
+                            # exactly like a connection dropped
+                            # mid-transfer behind a buffering proxy.
+                            self._reply(status, exc.body)
+                            bytes_out = len(exc.body)
+                        elif isinstance(exc, AbortedResponse):
+                            # Injected mid-body abort: promise the full length,
+                            # deliver a prefix, slam the connection — the client
+                            # must see an incomplete read, not valid JSON.  The
+                            # wire says 200 (that's the point of the fault), but
+                            # telemetry records the nginx-style 499 sentinel so
+                            # metrics, spans, and the access log separate
+                            # deliberate aborts from clean successes.
+                            m_aborted.inc()
+                            t_write = obs.clock()
+                            self._reply_aborted(exc)
+                            write_s = obs.clock() - t_write
+                            bytes_out = exc.cut
+                        elif isinstance(exc, ApiError):
+                            self._reply_error(exc, status)
+                        elif status < 500:
+                            # Malformed query strings (non-numeric ids,
+                            # missing required params) come back as a JSON
+                            # error, not a dead handler thread.
+                            self._reply_error(
+                                BadRequestError(
+                                    f"malformed request parameters: {exc}"
+                                ),
+                                status,
                             )
-                        except OSError:
-                            # Client is gone; nothing to reply to.
-                            self.close_connection = True
+                        else:
+                            self._reply_internal_error(parsed.path, trace_id)
                     # Fold the wire-side truth into the request record
                     # the dispatch built (if any) and publish it.
                     record = wire.commit(
@@ -353,6 +327,25 @@ def _make_handler(
             self._account(
                 parsed.path, status, start, record=record, trace_id=trace_id
             )
+
+        def _reply_internal_error(
+            self, path: str, trace_id: str | None
+        ) -> None:
+            """Anything else escaping dispatch is a server bug: answer
+            with an *opaque* 500 (no message — internals don't leak to
+            clients), count it, and keep the handler thread alive for
+            the next request."""
+            m_internal.inc(path=route_of(path))
+            access_logger.exception(
+                "internal error dispatching %s (trace=%s)",
+                path,
+                trace_id or "-",
+            )
+            try:
+                self._reply(500, b'{"error": "InternalError"}')
+            except OSError:
+                # Client is gone; nothing to reply to.
+                self.close_connection = True
 
         def _account(
             self,
@@ -365,14 +358,15 @@ def _make_handler(
             # Metric labels use the route template when the dispatcher
             # provides one (id-bearing raw paths would explode label
             # cardinality); the access log keeps the raw path.
-            label = route_of(path) if route_of is not None else path
+            label = route_of(path)
             m_requests.inc(path=label, status=status)
+            # An exemplar points at a record a request log retained.
             exemplar = (
                 {
                     "trace_id": record["trace_id"],
                     "seq": str(record["seq"]),
                 }
-                if record is not None
+                if record is not None and "seq" in record
                 else None
             )
             m_latency.observe(
@@ -387,18 +381,14 @@ def _make_handler(
                     trace_id or "-",
                 )
 
-        def _reply_error(
-            self, exc: ApiError, status: int | None = None
-        ) -> int:
+        def _reply_error(self, exc: ApiError, status: int) -> None:
             body = json.dumps(
                 {"error": exc.__class__.__name__, "message": exc.message}
             ).encode("utf-8")
             extra = {}
             if isinstance(exc, RateLimitedError):
                 extra["Retry-After"] = f"{exc.retry_after:.3f}"
-            status = exc.status if status is None else status
             self._reply(status, body, extra)
-            return status
 
         def _reply_aborted(self, exc: AbortedResponse) -> None:
             """Replay an injected mid-body abort on the real socket:
@@ -438,11 +428,11 @@ class ApiHttpServer:
 
     server: DrainingThreadingHTTPServer
     thread: threading.Thread
+    #: Server-side observability; also served at ``GET /metrics``.
+    obs: Obs
     #: Present when the server was started with a fault plan; exposes
     #: the injected-fault counters.
     faults: FaultInjectingTransport | None = None
-    #: Server-side observability; also served at ``GET /metrics``.
-    obs: Obs | None = None
     #: Maximum seconds ``close`` spends joining in-flight handlers.
     drain_timeout: float = 2.0
 
@@ -471,12 +461,11 @@ class ApiHttpServer:
                 len(stuck),
                 self.drain_timeout,
             )
-            if self.obs is not None:
-                self.obs.counter(
-                    "http_drain_leftover_threads",
-                    "Handler threads abandoned at the shutdown drain "
-                    "deadline (wedged mid-request)",
-                ).inc(len(stuck))
+            self.obs.counter(
+                "http_drain_leftover_threads",
+                "Handler threads abandoned at the shutdown drain "
+                "deadline (wedged mid-request)",
+            ).inc(len(stuck))
         self.server.server_close()
         self.thread.join(timeout=5)
         return stuck
@@ -494,7 +483,7 @@ def serve_dispatch(
     port: int = 0,
     obs: Obs | None = None,
     access_log: bool = False,
-    route_of: Callable[[str], str] | None = None,
+    route_of: Callable[[str], str] = _identity,
     faults: FaultInjectingTransport | None = None,
     limits: HttpLimits | None = None,
 ) -> ApiHttpServer:

@@ -1,5 +1,6 @@
 """The ``/metrics`` route and server-side request accounting."""
 
+import time
 import urllib.request
 
 import pytest
@@ -21,6 +22,18 @@ def _scrape(server) -> tuple[str, str]:
         return resp.read().decode("utf-8"), resp.headers["Content-Type"]
 
 
+def _scrape_until(server, needle: str) -> tuple[str, str]:
+    """Scrape until ``needle`` appears (at most 5 s): the handler
+    accounts a request after its response is on the wire, so a scrape
+    issued right after that response can beat the bookkeeping."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        text, content_type = _scrape(server)
+        if needle in text or time.monotonic() > deadline:
+            return text, content_type
+        time.sleep(0.02)
+
+
 class TestMetricsRoute:
     def test_prometheus_exposition(self, server, small_world):
         sid = int(small_world.dataset.accounts.steamids()[0])
@@ -28,7 +41,9 @@ class TestMetricsRoute:
             "/ISteamUser/GetPlayerSummaries/v2",
             {"key": DEFAULT_API_KEY, "steamids": str(sid)},
         )
-        text, content_type = _scrape(server)
+        text, content_type = _scrape_until(
+            server, 'path="/ISteamUser/GetPlayerSummaries/v2"'
+        )
         assert content_type == "text/plain; version=0.0.4"
         assert "# TYPE http_requests counter" in text
         assert (
@@ -39,7 +54,9 @@ class TestMetricsRoute:
 
     def test_scrape_counts_itself(self, server):
         first, _ = _scrape(server)
-        second, _ = _scrape(server)
+        second, _ = _scrape_until(
+            server, 'http_requests_total{path="/metrics",status="200"}'
+        )
         # The second scrape sees the first one's accounting.
         assert 'http_requests_total{path="/metrics",status="200"}' in second
 
@@ -48,7 +65,9 @@ class TestMetricsRoute:
             urllib.request.urlopen(server.base_url + "/unknown/endpoint")
         except urllib.error.HTTPError:
             pass
-        text, _ = _scrape(server)
+        text, _ = _scrape_until(
+            server, 'path="/unknown/endpoint",status="404"'
+        )
         assert 'path="/unknown/endpoint",status="404"' in text
 
     def test_server_requests_metric_when_service_instrumented(

@@ -181,3 +181,18 @@ class TestHttp:
         assert 'path="/users/<id>/summary"' in text
         assert f"/users/{steamid}/summary" not in text
         assert "http_request_seconds" in text
+
+    def test_metrics_carry_serving_series_without_an_explicit_obs(
+        self, serving_store
+    ):
+        # No Obs passed anywhere: the cache and admission series must
+        # still land in the registry /metrics serves.
+        with serve_analytics(serving_store, access_log=False) as server:
+            status, _ = _get(server.base_url, "/tailfit/friends")
+            assert status == 200
+            with urllib.request.urlopen(
+                server.base_url + "/metrics", timeout=10
+            ) as response:
+                text = response.read().decode()
+        assert "serving_cache_misses" in text
+        assert "serving_inflight" in text

@@ -38,6 +38,7 @@ from repro.steamapi.errors import (
     DeadlineExceededError,
     NotFoundError,
     OverloadedError,
+    status_of,
 )
 from repro.steamapi.faults import AbortedResponse
 
@@ -75,16 +76,33 @@ class TestDispatchRecords:
         self, serving_store
     ):
         service = _logged_service(serving_store)
-        with pytest.raises(NotFoundError):
-            service.dispatch("/no/such/route", {})
-        with pytest.raises(BadRequestError):
-            service.dispatch(
-                "/distributions/friends/percentile", {}
-            )  # missing q
-        with pytest.raises(NotFoundError):
-            service.dispatch("/tailfit/not_an_attribute", {})
+
+        def abort(store, match, params):
+            raise AbortedResponse(b'{"rho": 0.5}', 4)
+
+        def crash(store, match, params):
+            raise RuntimeError("handler bug")
+
+        service._homophily = abort
+        service._distribution_rank = crash
+        cases = [
+            ("/no/such/route", {}, NotFoundError),
+            ("/distributions/friends/percentile", {}, BadRequestError),  # no q
+            ("/tailfit/not_an_attribute", {}, NotFoundError),
+            ("/homophily/friends", {}, AbortedResponse),
+            ("/distributions/friends/rank", {"value": "1"}, RuntimeError),
+        ]
+        raised = []
+        for path, params, error in cases:
+            with pytest.raises(error) as excinfo:
+                service.dispatch(path, params)
+            raised.append(excinfo.value)
         records = service.request_log.records()
-        assert [r["status"] for r in records] == [404, 400, 404]
+        assert [r["status"] for r in records] == [404, 400, 404, 499, 500]
+        # The wire answers with the same policy on every exit path.
+        assert [r["status"] for r in records] == [
+            status_of(exc) for exc in raised
+        ]
         assert records[0]["route"] == "<unmatched>"
         assert records[1]["route"] == "/distributions/<attr>/percentile"
 

@@ -1,5 +1,7 @@
 """Library generation (Section 5, Figure 4)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.simworld.catalog import build_catalog
 from repro.simworld.config import CatalogConfig, FactorConfig, OwnershipConfig
 from repro.simworld.copula import draw_latents
 from repro.simworld.ownership import (
+    _sample_exact,
     build_ownership,
     owned_curve,
     solve_owner_fraction,
@@ -120,3 +123,26 @@ class TestCollectors:
     def test_collectors_are_owners(self, setup):
         _, _, ownership = setup
         assert np.all(ownership.owner_mask[ownership.is_collector])
+
+
+class _ZeroKeyRng:
+    """Every Exp(1) draw is 1, except exactly 0 for product 0 — the
+    draw that turned up at 10^6 users."""
+
+    def standard_exponential(self, size, dtype):
+        keys = np.ones(size, dtype=dtype)
+        keys[:, 0] = 0.0
+        return keys
+
+
+def test_exact_sampling_zero_key_on_zero_weight_product_is_not_nan():
+    weights = np.array([0.0, 1.0, 2.0, 3.0])
+    counts = np.array([2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        users, prods = _sample_exact(
+            _ZeroKeyRng(), np.array([0, 1]), counts, weights, len(weights)
+        )
+    # The zero-weight product races last: the heaviest products win.
+    assert sorted(prods[users == 0].tolist()) == [2, 3]
+    assert sorted(prods[users == 1].tolist()) == [1, 2, 3]

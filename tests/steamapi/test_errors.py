@@ -3,15 +3,18 @@
 import pytest
 
 from repro.steamapi.errors import (
+    AbortedResponse,
     ApiError,
     BadRequestError,
     DeadlineExceededError,
+    MalformedResponseError,
     NotFoundError,
     OverloadedError,
     RateLimitedError,
     ServiceUnavailableError,
     UnauthorizedError,
     error_for_status,
+    status_of,
 )
 
 
@@ -63,3 +66,38 @@ class TestErrorTaxonomy:
             RateLimitedError,
         ):
             assert issubclass(cls, ApiError)
+
+
+class TestStatusOf:
+    """The one exception → status policy, one row per exception class
+    the HTTP handler tells apart."""
+
+    @pytest.mark.parametrize(
+        "exc,status",
+        [
+            (MalformedResponseError("cut", body=b'{"players": ['), 200),
+            (AbortedResponse(b'{"players": []}', 5), 499),
+            (MalformedResponseError("garbage"), 502),
+            (NotFoundError(), 404),
+            (OverloadedError(reason="breaker"), 429),
+            (DeadlineExceededError(), 504),
+            (KeyError("steamid"), 400),
+            (ValueError("invalid literal for int()"), 400),
+            (TypeError("unhashable type"), 400),
+            (RuntimeError("handler bug"), 500),
+        ],
+        ids=[
+            "truncated-body",
+            "aborted-body",
+            "api-error-without-body",
+            "api-error",
+            "api-error-subclass",
+            "deadline",
+            "key-error",
+            "value-error",
+            "type-error",
+            "anything-else",
+        ],
+    )
+    def test_status_table(self, exc, status):
+        assert status_of(exc) == status
