@@ -32,7 +32,10 @@ def test_generation_speed(benchmark, record, record_json):
                 f"generate_seconds_{n // 1000}k", round(elapsed, 3), "s"
             )
         )
-    lines.append("(1M accounts: ~36s, ~1 GB peak RSS)")
+    lines.append(
+        "(1M accounts, seed 78: 13.6s, 1.0 GB peak RSS, measured once "
+        "on a 2-vCPU Xeon VM)"
+    )
     record("generation_speed", lines)
     record_json("generation", json_metrics, seed=78, n_users=100_000)
 

@@ -8,7 +8,6 @@ retries instead of aborting the crawl.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,34 +37,16 @@ def crawl_achievements(
     skip_failed: bool = False,
 ) -> AchievementCrawl:
     """Fetch global achievement percentages for every app in ``appids``."""
-    # (appid, [rates]) pairs: JSON-stashable, dict-ified at the end.
-    harvest: list[list] = []
-    start = 0
-
-    if checkpoint is not None:
-        start = checkpoint.achievements_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            harvest = [list(item) for item in state["rates"]]
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "achievement checkpoint has a cursor but no stashed "
-                "harvest; apps fetched before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.achievements_cursor = cursor
-        checkpoint.stash(PHASE, {"rates": list(harvest)})
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
+    if checkpoint is None:
+        checkpoint = CrawlCheckpoint()
+    start = checkpoint.achievements_cursor
+    # [appid, [rates]] pairs: JSON-stashable, dict-ified at the end.
+    # The list is the checkpoint's own: each save journals only the
+    # pairs appended since the previous one.
+    harvest = checkpoint.resume(PHASE, ("rates",))["rates"]
 
     path = "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2"
-    if checkpoint is None or not checkpoint.is_done(PHASE):
+    if not checkpoint.is_done(PHASE):
         # Pipelined window over the app list (see storefront.py for the
         # sequential-equivalence contract).  A NotFoundError is a
         # per-app non-event (the app simply has no achievements), so it
@@ -92,12 +73,10 @@ def crawl_achievements(
                     position += 1
                 elif isinstance(error, RetriesExhausted):
                     if not skip_failed:
-                        snapshot(position)  # resume retries this app
+                        # Resume retries this app.
+                        checkpoint.advance(PHASE, position)
                         raise error
-                    if checkpoint is not None:
-                        checkpoint.record_failure(
-                            PHASE, int(appids[position])
-                        )
+                    checkpoint.record_failure(PHASE, int(appids[position]))
                     if session.obs is not None:
                         session.obs.counter(
                             "crawler_skipped",
@@ -107,11 +86,9 @@ def crawl_achievements(
                     position += 1
                 else:
                     raise error
-            if checkpoint and position < len(appids) and (
-                position % checkpoint_every == 0
-            ):
-                snapshot(position)
-        snapshot(len(appids), done=True)
+            if position < len(appids) and position % checkpoint_every == 0:
+                checkpoint.advance(PHASE, position)
+        checkpoint.advance(PHASE, len(appids), done=True)
 
     return AchievementCrawl(
         rates_by_appid={

@@ -15,7 +15,6 @@ skipped rather than aborting a six-month crawl.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,40 +73,18 @@ def crawl_details(
     skip_failed: bool = False,
 ) -> DetailCrawl:
     """Crawl friends/games/groups for every account in ``steamids``."""
-    columns: dict[str, list[int]] = {name: [] for name in _STASH_COLUMNS}
-    n_private = 0
-    n_skipped = 0
-    start = 0
+    if checkpoint is None:
+        checkpoint = CrawlCheckpoint()
+    start = checkpoint.detail_cursor
+    # The harvest lists are the checkpoint's own: each save journals
+    # only the rows appended since the previous one.
+    columns = checkpoint.resume(
+        PHASE, _STASH_COLUMNS, n_private=0, n_skipped=0
+    )
+    n_private = int(columns["n_private"])
+    n_skipped = int(columns["n_skipped"])
 
-    if checkpoint is not None:
-        start = checkpoint.detail_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            for name in _STASH_COLUMNS:
-                columns[name] = [int(x) for x in state[name]]
-            n_private = int(state["n_private"])
-            n_skipped = int(state["n_skipped"])
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "detail checkpoint has a cursor but no stashed harvest; "
-                "accounts crawled before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.detail_cursor = cursor
-        payload = {name: list(values) for name, values in columns.items()}
-        payload["n_private"] = n_private
-        payload["n_skipped"] = n_skipped
-        checkpoint.stash(PHASE, payload)
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
-
-    if checkpoint is None or not checkpoint.is_done(PHASE):
+    if not checkpoint.is_done(PHASE):
         # Local aliases: these run once per harvested record, millions
         # of times in a large crawl.
         edge_a, edge_b, edge_day = (
@@ -151,11 +128,16 @@ def crawl_details(
                 if not isinstance(error, RetriesExhausted):
                     raise error
                 if not skip_failed:
-                    snapshot(position)  # resume retries this account
+                    # Resume retries this account.
+                    checkpoint.advance(
+                        PHASE,
+                        position,
+                        n_private=n_private,
+                        n_skipped=n_skipped,
+                    )
                     raise error
                 n_skipped += 1
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, steamid)
+                checkpoint.record_failure(PHASE, steamid)
                 if session.obs is not None:
                     session.obs.counter(
                         "crawler_skipped",
@@ -186,10 +168,21 @@ def crawl_details(
                 member_user.append(position)
                 member_group.append(group["gid"] - GROUP_ID_BASE)
 
-            if checkpoint and (position + 1) % checkpoint_every == 0:
-                snapshot(position + 1)
+            if (position + 1) % checkpoint_every == 0:
+                checkpoint.advance(
+                    PHASE,
+                    position + 1,
+                    n_private=n_private,
+                    n_skipped=n_skipped,
+                )
 
-        snapshot(len(steamids), done=True)
+        checkpoint.advance(
+            PHASE,
+            len(steamids),
+            done=True,
+            n_private=n_private,
+            n_skipped=n_skipped,
+        )
 
     return DetailCrawl(
         edge_a=np.array(columns["edge_a"], dtype=np.int64),

@@ -17,7 +17,6 @@ instead of aborting the crawl.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,8 @@ from repro.steamapi.service import MAX_SUMMARY_BATCH
 __all__ = ["ProfileSweep", "sweep_profiles"]
 
 PHASE = "profiles"
+
+_STASH_COLUMNS = ("offsets", "created", "countries", "cities", "window_hits")
 
 
 @dataclass
@@ -89,54 +90,18 @@ def sweep_profiles(
     """
     if not 1 <= batch_size <= MAX_SUMMARY_BATCH:
         raise ValueError("batch_size must be in [1, 100]")
-    offsets: list[int] = []
-    created: list[int] = []
-    countries: list[str | None] = []
-    cities: list[int] = []
-    window_hits: list[tuple[int, int]] = []
-    empty_run = 0
-    cursor = 0
+    if checkpoint is None:
+        checkpoint = CrawlCheckpoint()
+    cursor = checkpoint.profile_cursor
+    # The harvest lists are the checkpoint's own: each save journals
+    # only the rows appended since the previous one.
+    state = checkpoint.resume(PHASE, _STASH_COLUMNS, empty_run=0)
+    offsets, created, countries, cities, window_hits = (
+        state[name] for name in _STASH_COLUMNS
+    )
+    empty_run = int(state["empty_run"])
 
-    if checkpoint is not None:
-        cursor = checkpoint.profile_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            offsets = [int(x) for x in state["offsets"]]
-            created = [int(x) for x in state["created"]]
-            countries = list(state["countries"])
-            cities = [int(x) for x in state["cities"]]
-            window_hits = [
-                (int(w[0]), int(w[1])) for w in state["window_hits"]
-            ]
-            empty_run = int(state["empty_run"])
-        elif cursor > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "profile checkpoint has a cursor but no stashed harvest; "
-                "accounts swept before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.profile_cursor = cursor
-        checkpoint.stash(
-            PHASE,
-            {
-                "offsets": list(offsets),
-                "created": list(created),
-                "countries": list(countries),
-                "cities": list(cities),
-                "window_hits": [list(w) for w in window_hits],
-                "empty_run": empty_run,
-            },
-        )
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
-
-    if checkpoint is None or not checkpoint.is_done(PHASE):
+    if not checkpoint.is_done(PHASE):
         base = constants.STEAMID_BASE
         path = "/ISteamUser/GetPlayerSummaries/v2"
         window_cap = max(1, checkpoint_every // 2)
@@ -181,7 +146,7 @@ def sweep_profiles(
             payloads, error = session.get_many(items)
             for response in payloads:
                 players = response["response"]["players"]
-                window_hits.append((cursor, len(players)))
+                window_hits.append([cursor, len(players)])
                 if players:
                     empty_run = 0
                     for player in players:
@@ -202,13 +167,13 @@ def sweep_profiles(
                 if not isinstance(error, RetriesExhausted):
                     raise error
                 if not skip_failed:
-                    snapshot()  # cursor points at the failed window
+                    # The cursor points at the failed window.
+                    checkpoint.advance(PHASE, cursor, empty_run=empty_run)
                     raise error
                 # Graceful degradation: log the window and move on; the
                 # occupancy of a skipped window is unknown, so it joins
                 # neither the hit list nor the empty run.
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, cursor)
+                checkpoint.record_failure(PHASE, cursor)
                 if session.obs is not None:
                     session.obs.counter(
                         "crawler_skipped",
@@ -218,9 +183,11 @@ def sweep_profiles(
                 cursor += batch_size
                 windows_done += 1
                 continue  # the lockstep loop skipped this cadence check
-            if checkpoint and windows_done % checkpoint_every == 0:
-                snapshot()
-        snapshot(done=completed)
+            if windows_done % checkpoint_every == 0:
+                checkpoint.advance(PHASE, cursor, empty_run=empty_run)
+        checkpoint.advance(
+            PHASE, cursor, done=completed, empty_run=empty_run
+        )
 
     order = np.argsort(np.array(offsets, dtype=np.int64), kind="stable")
     return ProfileSweep(
@@ -228,5 +195,5 @@ def sweep_profiles(
         created_day=np.array(created, dtype=np.int32)[order],
         countries=[countries[i] for i in order],
         cities=np.array(cities, dtype=np.int64)[order],
-        window_hits=window_hits,
+        window_hits=[(int(start), int(hits)) for start, hits in window_hits],
     )

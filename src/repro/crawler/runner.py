@@ -312,9 +312,9 @@ def run_full_crawl(
         transport=transport, pacer=pacer, retry=retry, obs=obs
     )
     # Track skips even when the caller brings no checkpoint file.
-    if checkpoint is None and skip_failed:
+    if checkpoint is None:
         checkpoint = CrawlCheckpoint()
-    if checkpoint is not None and obs is not None and checkpoint.obs is None:
+    if obs is not None and checkpoint.obs is None:
         checkpoint.obs = obs
 
     with maybe_span(obs, "crawl"):
@@ -394,7 +394,7 @@ def run_full_crawl(
         sweep=sweep,
         attempts=session.attempts,
         retries=session.retries,
-        skipped=dict(checkpoint.failures()) if checkpoint else {},
+        skipped=dict(checkpoint.failures()),
         injected_faults=dict(
             getattr(transport, "fault_counts", None) or {}
         ),

@@ -13,7 +13,6 @@ keep failing after retries.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,34 +53,16 @@ def crawl_storefront(
     skip_failed: bool = False,
 ) -> CatalogCrawl:
     """Fetch the app list, then every product's storefront payload."""
-    # Raw (appid, entry) payloads: JSON-stashable, rebuilt into
+    if checkpoint is None:
+        checkpoint = CrawlCheckpoint()
+    start = checkpoint.storefront_cursor
+    # Raw [appid, entry] payloads: JSON-stashable, rebuilt into
     # AppDetails at the end, so resume reconstructs identical parses.
-    harvest: list[list] = []
-    start = 0
+    # The list is the checkpoint's own: each save journals only the
+    # entries appended since the previous one.
+    harvest = checkpoint.resume(PHASE, ("entries",))["entries"]
 
-    if checkpoint is not None:
-        start = checkpoint.storefront_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            harvest = [list(item) for item in state["entries"]]
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "storefront checkpoint has a cursor but no stashed "
-                "harvest; apps fetched before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.storefront_cursor = cursor
-        checkpoint.stash(PHASE, {"entries": list(harvest)})
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
-
-    if checkpoint is None or not checkpoint.is_done(PHASE):
+    if not checkpoint.is_done(PHASE):
         applist = session.get("/ISteamApps/GetAppList/v2")["applist"]["apps"]
         appids = sorted(int(app["appid"]) for app in applist)
         # Pipelined transport: issue a bounded window of requests per
@@ -108,10 +89,10 @@ def crawl_storefront(
                 if not isinstance(error, RetriesExhausted):
                     raise error
                 if not skip_failed:
-                    snapshot(position)  # resume retries this app
+                    # Resume retries this app.
+                    checkpoint.advance(PHASE, position)
                     raise error
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, appids[position])
+                checkpoint.record_failure(PHASE, appids[position])
                 if session.obs is not None:
                     session.obs.counter(
                         "crawler_skipped",
@@ -119,11 +100,9 @@ def crawl_storefront(
                         ("phase",),
                     ).inc(phase=PHASE)
                 position += 1  # skip the poisoned app
-            if checkpoint and position < len(appids) and (
-                position % checkpoint_every == 0
-            ):
-                snapshot(position)
-        snapshot(len(appids), done=True)
+            if position < len(appids) and position % checkpoint_every == 0:
+                checkpoint.advance(PHASE, position)
+        checkpoint.advance(PHASE, len(appids), done=True)
 
     return CatalogCrawl(
         details=[

@@ -68,7 +68,7 @@ class DeltaCrawlResult:
 def _refetch_profiles(
     session: CrawlSession,
     steamids: np.ndarray,
-    checkpoint: CrawlCheckpoint | None,
+    checkpoint: CrawlCheckpoint,
     skip_failed: bool,
 ) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Batched GetPlayerSummaries over a known ID list.
@@ -94,8 +94,7 @@ def _refetch_profiles(
         except RetriesExhausted:
             if not skip_failed:
                 raise
-            if checkpoint is not None:
-                checkpoint.record_failure("delta_profiles", int(chunk[0]))
+            checkpoint.record_failure("delta_profiles", int(chunk[0]))
             if session.obs is not None:
                 session.obs.counter(
                     "crawler_skipped",
@@ -155,9 +154,9 @@ def run_delta_crawl(
     session = CrawlSession(
         transport=transport, pacer=pacer, retry=retry, obs=obs
     )
-    if checkpoint is None and skip_failed:
+    if checkpoint is None:
         checkpoint = CrawlCheckpoint()
-    if checkpoint is not None and obs is not None and checkpoint.obs is None:
+    if obs is not None and checkpoint.obs is None:
         checkpoint.obs = obs
 
     targets = world_delta.all_offsets()
@@ -235,5 +234,5 @@ def run_delta_crawl(
         requests_made=session.requests_made,
         attempts=session.attempts,
         retries=session.retries,
-        skipped=dict(checkpoint.failures()) if checkpoint else {},
+        skipped=dict(checkpoint.failures()),
     )

@@ -208,6 +208,11 @@ class PipelineSupervisor:
         exists while a crawl needs it.  A kill mid-crawl is recovered
         by the crawler's own checkpoint, so the rework on resume is
         bounded by the checkpoint save cadence, not the phase size.
+        The checkpoint is ``crawl_checkpoint.json`` (cursors and the
+        journal's committed length, replaced atomically: the commit
+        point) plus ``crawl_checkpoint.json.journal``, where each save
+        appends only the rows harvested since the previous one; a torn
+        tail past the committed length is ignored on resume.
         """
         from repro.crawler.checkpoint import CrawlCheckpoint
         from repro.crawler.runner import run_full_crawl

@@ -109,9 +109,12 @@ class SteamApiService:
         #: first use so non-crawl consumers never pay for it.
         self._app_genres: list[list[dict]] | None = None
         self._app_categories: list[list[dict]] | None = None
-        #: Lazily-built per-product achievement payload lists (see
-        #: :meth:`_achievement_fragments`) — same sharing contract.
-        self._ach_payloads: list[list[dict]] | None = None
+        #: Lazily-built achievement percentages as served, each
+        #: product's slice bounds into them, and the shared ``ACH_<i>``
+        #: names (see :meth:`_achievement_fragments`).
+        self._ach_percent: np.ndarray | None = None
+        self._ach_bounds: list[int] = []
+        self._ach_names: list[str] = []
 
     def _appdetails_fragments(self) -> None:
         """Precompute the genre and category lists for every product.
@@ -144,28 +147,25 @@ class SteamApiService:
         ]
 
     def _achievement_fragments(self) -> None:
-        """Precompute every product's achievement-percentage payload.
+        """Precompute every achievement's served percentage.
 
-        The rates are immutable dataset columns, but the naive path
-        rebuilt the dict list (with a ``round`` per rate) on every
-        request.  ``ACH_<i>`` name strings are shared across products —
+        The naive path re-ran ``round`` per rate on every request.  Only
+        the rounded values are kept, in one float64 array; each request
+        builds its own dicts from its slice.  Cached per-product dict
+        lists cost 27 MB for 137 k achievements at 10 k users, the
+        largest allocation of a whole crawl, which asks for each product
+        once.  ``ACH_<i>`` name strings are shared across products —
         achievement *i* has the same name everywhere.
         """
         ach = self.dataset.achievements
-        counts = ach.count.tolist()
-        names = [f"ACH_{i}" for i in range(max(counts, default=0))]
-        rates = ach.rates.tolist()
-        payloads = []
-        pos = 0
-        for n in counts:
-            payloads.append(
-                [
-                    {"name": names[i], "percent": round(r * 100.0, 4)}
-                    for i, r in enumerate(rates[pos : pos + n])
-                ]
-            )
-            pos += n
-        self._ach_payloads = payloads
+        longest = int(ach.count.max(initial=0))
+        self._ach_names = [f"ACH_{i}" for i in range(longest)]
+        self._ach_bounds = ach.indptr.tolist()
+        self._ach_percent = np.fromiter(
+            (round(r * 100.0, 4) for r in map(float, ach.rates)),
+            dtype=np.float64,
+            count=len(ach.rates),
+        )
 
     # -- setup ---------------------------------------------------------------
 
@@ -355,11 +355,17 @@ class SteamApiService:
         product = self._product_index(int(gameid))
         if self.dataset.achievements is None:
             raise NotFoundError("achievement data unavailable")
-        if self._ach_payloads is None:
+        if self._ach_percent is None:
             self._achievement_fragments()
+        lo, hi = self._ach_bounds[product], self._ach_bounds[product + 1]
         return {
             "achievementpercentages": {
-                "achievements": self._ach_payloads[product]
+                "achievements": [
+                    {"name": name, "percent": percent}
+                    for name, percent in zip(
+                        self._ach_names, self._ach_percent[lo:hi].tolist()
+                    )
+                ]
             }
         }
 
