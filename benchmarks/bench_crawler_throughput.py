@@ -1,10 +1,10 @@
 """Crawler methodology benchmarks (Section 3.1).
 
-Three measurements:
+Two measurements:
 
-1. raw crawl throughput against the in-process simulated API, with the
-   observability instrumentation overhead (metrics on vs. off, budget
-   ``OVERHEAD_BUDGET``),
+1. raw crawl throughput against the in-process simulated API (the
+   crawl always records its telemetry, so this is the instrumented
+   throughput),
 2. the phase-duration asymmetry under the real API's rate limit on
    *virtual* time: the batched (100-per-call) profile sweep is two
    orders of magnitude cheaper than the one-account-per-call detail
@@ -12,8 +12,8 @@ Three measurements:
    phase 2 six months.
 
 Set ``REPRO_BENCH_USERS`` to scale the crawl world (default 8,000 —
-small enough for CI, large enough that the overhead comparison is not
-dominated by run-to-run timing noise).
+small enough for CI, large enough that the timing is not dominated by
+run-to-run noise).
 """
 
 import os
@@ -27,23 +27,12 @@ from repro.crawler.retry import RetryPolicy
 from repro.crawler.runner import run_full_crawl
 from repro.crawler.session import CrawlSession
 from repro.crawler.throttle import PolitePacer
-from repro.obs import Obs, bench_metric
-from repro.steamapi.service import SteamApiService
+from repro.obs import bench_metric
+from repro.steamapi.service import ENDPOINTS, SteamApiService
 from repro.steamapi.transport import InProcessTransport
 
 CRAWL_USERS = int(os.environ.get("REPRO_BENCH_USERS", "8000"))
 CRAWL_SEED = 31
-
-#: Acceptance budget: enabling metrics may cost at most this fraction
-#: of the uninstrumented crawl's wall clock.  Rebased from 5% when the
-#: pipelined transport made the bare request ~3x cheaper: the absolute
-#: instrumentation cost (~1us/request: one histogram observe, two
-#: clock reads, batched counter updates) did not change, but it is now
-#: a larger fraction of a much smaller denominator, and min-of-N
-#: timings on shared runners still swing several percent.  The budget
-#: still catches order-of-magnitude regressions (e.g. accidentally
-#: instrumenting per-attempt spans).
-OVERHEAD_BUDGET = 0.20
 
 
 @pytest.fixture(scope="module")
@@ -65,63 +54,44 @@ class _VirtualTime:
 
 
 def test_crawler_throughput(benchmark, crawl_world, record, record_json):
-    """End-to-end full crawl, with and without observability enabled.
+    """End-to-end full crawl throughput.
 
-    Times the uninstrumented crawl under pytest-benchmark, then
-    alternates bare/instrumented runs and compares per-mode minima.
-    Scheduler noise only ever *adds* time, so the min of several runs
-    is the standard estimator of the true cost (same reasoning as
-    ``timeit``); single runs swing a few percent on shared hardware,
-    which would swamp the < 5% overhead budget being enforced here.
+    Times one crawl under pytest-benchmark, then takes the best of seven
+    more.  Scheduler noise only ever *adds* time, so the min of several
+    runs is the standard estimator of the true cost (same reasoning as
+    ``timeit``).
     """
     service = SteamApiService.from_world(crawl_world)
 
-    def crawl(obs=None):
-        service.request_counts.clear()
+    def crawl():
         start = time.perf_counter()
-        result = run_full_crawl(InProcessTransport(service), obs=obs)
+        result = run_full_crawl(InProcessTransport(service))
         return result, time.perf_counter() - start
 
     result, _ = benchmark.pedantic(crawl, rounds=1, iterations=1)
     requests = result.requests_made
-
-    # Best-of-seven per mode, alternating to cancel thermal drift.
-    bare_secs, obs_secs = [], []
-    for _ in range(7):
-        bare_secs.append(crawl()[1])
-        obs_secs.append(crawl(obs=Obs())[1])
-    bare, instrumented = min(bare_secs), min(obs_secs)
-    overhead = instrumented / bare - 1.0
+    # The service counts across crawls: read one crawl's counts now.
+    counts = {name: service.request_count(name) for name in ENDPOINTS}
+    seconds = min(crawl()[1] for _ in range(7))
 
     lines = [
         "Crawler throughput (in-process transport)",
         f"accounts: {crawl_world.config.n_users:,}",
         f"API requests: {requests:,}",
-        f"seconds (metrics off): {bare:.2f}",
-        f"seconds (metrics on):  {instrumented:.2f}",
-        f"instrumentation overhead: {overhead:+.1%} "
-        f"(budget {OVERHEAD_BUDGET:.0%})",
+        f"seconds: {seconds:.2f}",
         "per-endpoint requests:",
     ]
-    for endpoint, count in sorted(service.request_counts.items()):
+    for endpoint, count in sorted(counts.items()):
         lines.append(f"  {endpoint:<35} {count:>8,}")
     record("crawler_throughput", lines)
     record_json(
         "crawler_throughput",
         [
             bench_metric("requests", requests, "requests"),
-            bench_metric("crawl_seconds_metrics_off", round(bare, 4), "s"),
-            bench_metric(
-                "crawl_seconds_metrics_on", round(instrumented, 4), "s"
-            ),
-            bench_metric(
-                "instrumentation_overhead_pct",
-                round(overhead * 100, 2),
-                "percent",
-            ),
+            bench_metric("crawl_seconds", round(seconds, 4), "s"),
             bench_metric(
                 "requests_per_second",
-                round(requests / bare, 1),
+                round(requests / seconds, 1),
                 "requests/s",
             ),
         ],
@@ -130,17 +100,14 @@ def test_crawler_throughput(benchmark, crawl_world, record, record_json):
     )
 
     assert result.dataset.n_users == crawl_world.config.n_users
+    assert sum(counts.values()) == requests
     # Detail phase dominates: 3 calls/user vs ~1 call per 100 IDs.
     details = (
-        service.request_counts["GetFriendList"]
-        + service.request_counts["GetOwnedGames"]
-        + service.request_counts["GetUserGroupList"]
+        counts["GetFriendList"]
+        + counts["GetOwnedGames"]
+        + counts["GetUserGroupList"]
     )
-    assert details > 10 * service.request_counts["GetPlayerSummaries"]
-    assert overhead < OVERHEAD_BUDGET, (
-        f"metrics instrumentation costs {overhead:.1%} "
-        f"(budget {OVERHEAD_BUDGET:.0%})"
-    )
+    assert details > 10 * counts["GetPlayerSummaries"]
 
 
 def test_phase_duration_asymmetry(benchmark, crawl_world, record, record_json):

@@ -73,25 +73,27 @@ def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_obs(args: argparse.Namespace) -> Obs | None:
-    wants_obs = (
+def _make_obs(args: argparse.Namespace, traced: bool = False) -> Obs:
+    """The run's telemetry scope; traced when its output is asked for.
+
+    Every run records.  A run that exports telemetry (or ``traced``)
+    also joins the ambient trace when a parent exported one, or roots
+    a fresh deterministic trace on the world seed.
+    """
+    traced = traced or (
         getattr(args, "metrics_out", None)
         or getattr(args, "trace_out", None)
         or getattr(args, "profile", None)
     )
-    if not wants_obs:
-        return None
-    # Join the ambient trace when a parent exported one; otherwise root
-    # a fresh deterministic trace on the world seed.
+    if not traced:
+        return Obs()
     trace = TraceContext.from_env() or TraceContext.new(
         seed=getattr(args, "seed", None)
     )
     return Obs(trace=trace)
 
 
-def _finish_obs(obs: Obs | None, args: argparse.Namespace) -> None:
-    if obs is None:
-        return
+def _finish_obs(obs: Obs, args: argparse.Namespace) -> None:
     if getattr(args, "metrics_out", None):
         path = obs.write(args.metrics_out)
         print(f"metrics snapshot written to {path}")
@@ -208,7 +210,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         profile_path = write_profile_report(
             args.profile,
             engine_run.profiles,
-            run_id=obs.trace.trace_id if obs and obs.trace else None,
+            run_id=obs.trace.trace_id if obs.trace else None,
         )
         print(f"profile report written to {profile_path}")
     if engine_run is not None and (args.jobs > 1 or cache is not None):
@@ -253,8 +255,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             result = run_full_crawl(
                 HttpTransport(
                     server.base_url,
-                    trace=obs.trace if obs else None,
-                    tracer=obs.tracer if obs else None,
+                    trace=obs.trace,
+                    tracer=obs.tracer,
                 ),
                 snapshot2=study.dataset.snapshot2,
                 obs=obs,
@@ -353,13 +355,8 @@ def _cmd_serve_analytics(args: argparse.Namespace) -> int:
         logging.basicConfig(
             level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
         )
-    obs = _make_obs(args)
-    if obs is None:
-        # Serving always runs instrumented: /metrics is part of the API.
-        obs = Obs(
-            trace=TraceContext.from_env()
-            or TraceContext.new(seed=getattr(args, "seed", None))
-        )
+    # Serving always runs traced: /metrics is part of the API.
+    obs = _make_obs(args, traced=True)
     if args.dataset:
         dataset = load_any(args.dataset)
         print(f"loaded dataset from {args.dataset} ({dataset.n_users:,} users)")

@@ -65,7 +65,7 @@ from repro.engine import (
     StageContext,
     StageGraph,
 )
-from repro.obs import Obs, maybe_span
+from repro.obs import Obs
 from repro.simworld.config import WorldConfig
 from repro.simworld.world import SteamWorld
 from repro.store import dataset as dataset_mod
@@ -596,8 +596,11 @@ class SteamStudy:
         per-stage ``engine_stage_seconds`` histograms and cache
         hit/miss and recovery counters in every mode.  ``profile`` cProfiles every
         stage (serial or in workers) and exposes the top-N rows on
-        ``last_engine_run.profiles``.
+        ``last_engine_run.profiles``.  Without ``obs`` the run records
+        into a private :class:`~repro.obs.Obs`.
         """
+        if obs is None:
+            obs = Obs()
         ds = self._dataset
         config = {
             "include_table4": include_table4,
@@ -620,7 +623,7 @@ class SteamStudy:
             stage_timeout=stage_timeout,
             profile=profile,
         )
-        with maybe_span(obs, "analyze", n_users=ds.n_users):
+        with obs.span("analyze", n_users=ds.n_users):
             run = engine.run(
                 graph, StageContext(dataset=ds, config=config, aux=aux)
             )

@@ -77,12 +77,7 @@ def crawl_achievements(
                         checkpoint.advance(PHASE, position)
                         raise error
                     checkpoint.record_failure(PHASE, int(appids[position]))
-                    if session.obs is not None:
-                        session.obs.counter(
-                            "crawler_skipped",
-                            "Identifiers skipped after persistent failures",
-                            ("phase",),
-                        ).inc(phase=PHASE)
+                    session.note_skipped(PHASE)
                     position += 1
                 else:
                     raise error

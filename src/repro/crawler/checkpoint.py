@@ -71,7 +71,8 @@ class CrawlCheckpoint:
     #: Number of apps whose achievements were fetched.
     achievements_cursor: int = 0
     extra: dict = field(default_factory=dict)
-    #: Observability hook (never persisted); times save/load.
+    #: Where save/load timings land (never persisted); a crawl given
+    #: this checkpoint points it at the crawl's own scope.
     obs: Obs | None = field(default=None, repr=False, compare=False)
     #: Phase -> its latest stashed harvest (list columns held by reference).
     _stash: dict = field(default_factory=dict, init=False, repr=False)
@@ -87,6 +88,10 @@ class CrawlCheckpoint:
     _journal_bytes: int = field(
         default=0, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.obs is None:
+            self.obs = Obs()
 
     @property
     def journal_path(self) -> Path | None:
@@ -108,10 +113,11 @@ class CrawlCheckpoint:
         tail of an interrupted save and are ignored.
         """
         path = Path(path)
-        start = obs.clock() if obs is not None else 0.0
-        if not path.exists():
-            return cls(path=path, obs=obs)
         checkpoint = cls(path=path, obs=obs)
+        obs = checkpoint.obs
+        start = obs.clock()
+        if not path.exists():
+            return checkpoint
         try:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -132,11 +138,10 @@ class CrawlCheckpoint:
         # inline as ``extra["stash:<phase>"]``; stage it for the journal.
         for key in [k for k in checkpoint.extra if k.startswith("stash:")]:
             checkpoint.stash(key[len("stash:") :], checkpoint.extra.pop(key))
-        if obs is not None:
-            obs.histogram(
-                "crawler_checkpoint_load_seconds",
-                "Time spent loading the crawl checkpoint",
-            ).observe(obs.clock() - start)
+        obs.histogram(
+            "crawler_checkpoint_load_seconds",
+            "Time spent loading the crawl checkpoint",
+        ).observe(obs.clock() - start)
         return checkpoint
 
     def _replay(self, committed: int) -> None:
@@ -178,7 +183,7 @@ class CrawlCheckpoint:
         """
         if self.path is None:
             return
-        start = self.obs.clock() if self.obs is not None else 0.0
+        start = self.obs.clock()
         journal_bytes = self._journal_bytes
         if self._pending:
             blob = "".join(
@@ -212,14 +217,13 @@ class CrawlCheckpoint:
         os.replace(tmp, self.path)
         self._journal_bytes = journal_bytes
         self._pending.clear()
-        if self.obs is not None:
-            self.obs.histogram(
-                "crawler_checkpoint_save_seconds",
-                "Time spent persisting the crawl checkpoint",
-            ).observe(self.obs.clock() - start)
-            self.obs.counter(
-                "crawler_checkpoint_saves", "Checkpoint writes performed"
-            ).inc()
+        self.obs.histogram(
+            "crawler_checkpoint_save_seconds",
+            "Time spent persisting the crawl checkpoint",
+        ).observe(self.obs.clock() - start)
+        self.obs.counter(
+            "crawler_checkpoint_saves", "Checkpoint writes performed"
+        ).inc()
 
     # -- phase state ----------------------------------------------------------
 

@@ -119,11 +119,7 @@ def crawl_details(
             if error is not None:
                 if isinstance(error, PrivateProfileError):
                     n_private += 1
-                    if session.obs is not None:
-                        session.obs.counter(
-                            "crawler_private_profiles",
-                            "Accounts whose detail endpoints were private",
-                        ).inc()
+                    session.note_private()
                     continue
                 if not isinstance(error, RetriesExhausted):
                     raise error
@@ -138,12 +134,7 @@ def crawl_details(
                     raise error
                 n_skipped += 1
                 checkpoint.record_failure(PHASE, steamid)
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
+                session.note_skipped(PHASE)
                 continue
 
             friends = payloads[0]["friendslist"]["friends"]

@@ -174,12 +174,7 @@ def sweep_profiles(
                 # occupancy of a skipped window is unknown, so it joins
                 # neither the hit list nor the empty run.
                 checkpoint.record_failure(PHASE, cursor)
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
+                session.note_skipped(PHASE)
                 cursor += batch_size
                 windows_done += 1
                 continue  # the lockstep loop skipped this cadence check

@@ -27,7 +27,7 @@ __all__ = ["RetryPolicy", "RetriesExhausted"]
 T = TypeVar("T")
 
 #: Errors that retrying will never fix.
-_FATAL = (
+FATAL_ERRORS = (
     BadRequestError,
     NotFoundError,
     PrivateProfileError,
@@ -81,7 +81,7 @@ class RetryPolicy:
         """Run ``fn``, retrying transient API errors."""
         try:
             return fn()
-        except _FATAL:
+        except FATAL_ERRORS:
             raise
         except ApiError as exc:
             return self.resume(fn, exc)
@@ -103,7 +103,7 @@ class RetryPolicy:
             else:
                 try:
                     return fn()
-                except _FATAL:
+                except FATAL_ERRORS:
                     raise
                 except ApiError as retry_exc:
                     exc = retry_exc

@@ -14,7 +14,7 @@ from repro.crawler.retry import RetriesExhausted, RetryPolicy
 from repro.crawler.session import CrawlSession
 from repro.crawler.storefront import catalog_arrays, crawl_storefront
 from repro.crawler.throttle import PolitePacer
-from repro.obs import Obs, maybe_span
+from repro.obs import Obs
 from repro.steamapi.models import GROUP_ID_BASE
 from repro.steamapi.transport import Transport
 from repro.store.dataset import DatasetMeta, SteamDataset
@@ -183,12 +183,7 @@ def scrape_group_labels(
                 checkpoint.record_failure(
                     "groups", GROUP_ID_BASE + int(top[position])
                 )
-            if session.obs is not None:
-                session.obs.counter(
-                    "crawler_skipped",
-                    "Identifiers skipped after persistent failures",
-                    ("phase",),
-                ).inc(phase="groups")
+            session.note_skipped("groups")
             position += 1
 
 
@@ -292,11 +287,12 @@ def run_full_crawl(
     into the checkpoint, so re-invoking ``run_full_crawl`` with the same
     checkpoint resumes losslessly.
 
-    ``obs`` turns on observability (see :mod:`repro.obs`): per-endpoint
-    request counters and latency histograms, retry/backoff/skip
-    counters, checkpoint-save timings, a live throughput gauge, and a
-    span per crawl phase.  ``None`` (the default) keeps the hot path
-    instrumentation-free.
+    ``obs`` receives the crawl's telemetry (see :mod:`repro.obs`):
+    per-endpoint request counters and latency histograms,
+    retry/backoff/skip counters, checkpoint-save timings, a live
+    throughput gauge, and a span per crawl phase.  The crawl always
+    records; without ``obs`` it records into a private scope.  A passed
+    ``checkpoint`` reports into the same scope.
     """
     from repro import constants
 
@@ -308,32 +304,32 @@ def run_full_crawl(
     )
     if retry is None:
         retry = RetryPolicy(sleeper=sleeper or (lambda s: None))
+    if obs is None:
+        obs = Obs()
     session = CrawlSession(
         transport=transport, pacer=pacer, retry=retry, obs=obs
     )
     # Track skips even when the caller brings no checkpoint file.
     if checkpoint is None:
         checkpoint = CrawlCheckpoint()
-    if obs is not None and checkpoint.obs is None:
-        checkpoint.obs = obs
+    checkpoint.obs = obs
 
-    with maybe_span(obs, "crawl"):
-        with maybe_span(obs, "phase:profiles"):
+    with obs.span("crawl"):
+        with obs.span("phase:profiles"):
             sweep = sweep_profiles(
                 session,
                 checkpoint=checkpoint,
                 stop_after_empty=stop_after_empty,
                 skip_failed=skip_failed,
             )
-        if obs is not None:
-            obs.gauge(
-                "crawler_accounts_discovered",
-                "Valid accounts found by the phase-1 sweep",
-            ).set(sweep.n_accounts)
-        with maybe_span(obs, "assemble:accounts"):
+        obs.gauge(
+            "crawler_accounts_discovered",
+            "Valid accounts found by the phase-1 sweep",
+        ).set(sweep.n_accounts)
+        with obs.span("assemble:accounts"):
             accounts = _assemble_accounts(sweep)
 
-        with maybe_span(obs, "phase:storefront"):
+        with obs.span("phase:storefront"):
             catalog_crawl = crawl_storefront(
                 session, checkpoint=checkpoint, skip_failed=skip_failed
             )
@@ -342,21 +338,21 @@ def run_full_crawl(
             catalog = CatalogTable(genre_names=tuple(genre_names), **columns)
 
         steamids = sweep.offsets + constants.STEAMID_BASE
-        with maybe_span(obs, "phase:details", accounts=len(steamids)):
+        with obs.span("phase:details", accounts=len(steamids)):
             details = crawl_details(
                 session,
                 steamids,
                 checkpoint=checkpoint,
                 skip_failed=skip_failed,
             )
-        with maybe_span(obs, "assemble:friends_library"):
+        with obs.span("assemble:friends_library"):
             friends = _assemble_friends(
                 details, sweep.offsets, constants.STEAMID_BASE
             )
             library = _assemble_library(
                 details, sweep.n_accounts, catalog.appid.astype(np.int64)
             )
-        with maybe_span(obs, "phase:groups"):
+        with obs.span("phase:groups"):
             groups = _assemble_groups(
                 session,
                 details,
@@ -366,7 +362,7 @@ def run_full_crawl(
                 checkpoint=checkpoint,
                 skip_failed=skip_failed,
             )
-        with maybe_span(obs, "phase:achievements"):
+        with obs.span("phase:achievements"):
             ach_crawl = crawl_achievements(
                 session,
                 [int(a) for a in catalog.appid],
@@ -377,7 +373,7 @@ def run_full_crawl(
                 ach_crawl.rates_by_appid, catalog.appid.astype(np.int64)
             )
 
-        with maybe_span(obs, "assemble:dataset"):
+        with obs.span("assemble:dataset"):
             dataset = SteamDataset(
                 accounts=accounts,
                 friends=friends,

@@ -6,29 +6,14 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 from repro import constants
-from repro.crawler.retry import RetryPolicy
+from repro.crawler.retry import FATAL_ERRORS, RetryPolicy
 from repro.crawler.throttle import PolitePacer
 from repro.obs import Obs
-from repro.steamapi.errors import (
-    ApiError,
-    BadRequestError,
-    NotFoundError,
-    PrivateProfileError,
-    RateLimitedError,
-    UnauthorizedError,
-)
+from repro.steamapi.errors import ApiError, RateLimitedError
 from repro.steamapi.service import DEFAULT_API_KEY
 from repro.steamapi.transport import Transport, endpoint_label
 
 __all__ = ["CrawlSession", "unix_to_day"]
-
-#: Errors retrying will never fix (mirrors the retry policy's list).
-_FATAL = (
-    BadRequestError,
-    NotFoundError,
-    PrivateProfileError,
-    UnauthorizedError,
-)
 
 _UNIX_LAUNCH = int(
     dt.datetime(
@@ -61,7 +46,8 @@ class CrawlSession:
     #: Physical transport attempts, retries included — what an API-key
     #: budget actually gets charged for.
     attempts: int = 0
-    #: Observability hook; ``None`` keeps the hot path untouched.
+    #: Where request, retry and skip series land; a private
+    #: :class:`~repro.obs.Obs` is built when none is passed.
     obs: Obs | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -70,60 +56,74 @@ class CrawlSession:
         # also slow down instead of immediately re-tripping the limit.
         if self.retry.on_retry is None:
             self.retry.on_retry = self._observe_retry
-        if self.obs is not None:
-            reg = self.obs.registry
-            self._m_requests = reg.counter(
-                "steamapi_requests",
-                "Logical API requests by endpoint",
-                ("endpoint",),
-            )
-            self._m_latency = reg.histogram(
-                "steamapi_request_seconds",
-                "API request latency by endpoint (retries included)",
-                labelnames=("endpoint",),
-            )
-            # Pre-bound per-path metric handles (label validation and
-            # endpoint_label run once per distinct path, not per call).
-            self._endpoint_handles = {}
-            self._m_attempts = reg.counter(
-                "steamapi_attempts",
-                "Physical transport attempts (retries included)",
-            ).labels()
-            self._m_retried = reg.counter(
-                "crawler_retries",
-                "Retried transient failures by error kind",
-                ("kind",),
-            )
-            self._m_ratelimited = reg.counter(
-                "steamapi_rate_limited",
-                "Rate-limit rejections seen by the crawler",
-            )
-            self._m_backoff = reg.counter(
-                "crawler_backoff_sleep_seconds",
-                "Total seconds of retry backoff sleep requested",
-            )
-            self._m_throughput = reg.gauge(
-                "crawler_requests_per_second",
-                f"Live crawl throughput (updated every "
-                f"{_THROUGHPUT_EVERY} requests)",
-            )
-            self._t0 = self.obs.clock()
+        if self.obs is None:
+            self.obs = Obs()
+        reg = self.obs.registry
+        self._m_requests = reg.counter(
+            "steamapi_requests",
+            "Logical API requests by endpoint",
+            ("endpoint",),
+        )
+        self._m_latency = reg.histogram(
+            "steamapi_request_seconds",
+            "API request latency by endpoint (retries included)",
+            labelnames=("endpoint",),
+        )
+        # Pre-bound per-path metric handles (label validation and
+        # endpoint_label run once per distinct path, not per call).
+        self._endpoint_handles = {}
+        self._m_attempts = reg.counter(
+            "steamapi_attempts",
+            "Physical transport attempts (retries included)",
+        ).labels()
+        self._m_retried = reg.counter(
+            "crawler_retries",
+            "Retried transient failures by error kind",
+            ("kind",),
+        )
+        self._m_ratelimited = reg.counter(
+            "steamapi_rate_limited",
+            "Rate-limit rejections seen by the crawler",
+        )
+        self._m_backoff = reg.counter(
+            "crawler_backoff_sleep_seconds",
+            "Total seconds of retry backoff sleep requested",
+        )
+        self._m_throughput = reg.gauge(
+            "crawler_requests_per_second",
+            f"Live crawl throughput (updated every "
+            f"{_THROUGHPUT_EVERY} requests)",
+        )
+        self._t0 = self.obs.clock()
 
     def _observe_retry(self, exc: ApiError, delay: float) -> None:
         if isinstance(exc, RateLimitedError):
             self.pacer.penalize(exc.retry_after)
-        if self.obs is not None:
-            self._m_retried.inc(kind=exc.__class__.__name__)
-            self._m_backoff.inc(delay)
-            if isinstance(exc, RateLimitedError):
-                self._m_ratelimited.inc()
-            # One point-in-time span per retried failure, nested under
-            # whatever crawl phase is open: the merged trace shows not
-            # just that phase 2 was slow but *where* the backoff went.
-            with self.obs.span(
-                f"retry:{exc.__class__.__name__}", delay=round(delay, 6)
-            ):
-                pass
+            self._m_ratelimited.inc()
+        self._m_retried.inc(kind=exc.__class__.__name__)
+        self._m_backoff.inc(delay)
+        # One point-in-time span per retried failure, nested under
+        # whatever crawl phase is open: the merged trace shows not
+        # just that phase 2 was slow but *where* the backoff went.
+        with self.obs.span(
+            f"retry:{exc.__class__.__name__}", delay=round(delay, 6)
+        ):
+            pass
+
+    def note_skipped(self, phase: str) -> None:
+        """Count an identifier skipped after persistent failures."""
+        self.obs.counter(
+            "crawler_skipped",
+            "Identifiers skipped after persistent failures",
+            ("phase",),
+        ).inc(phase=phase)
+
+    def note_private(self) -> None:
+        """Count an account whose detail endpoints were private."""
+        self.obs.counter(
+            "crawler_private_profiles",
+            "Accounts whose detail endpoints were private",
+        ).inc()
 
     @property
     def retries(self) -> int:
@@ -140,35 +140,11 @@ class CrawlSession:
         return handles
 
     def get(self, path: str, **params) -> dict:
-        """One paced, retried API request."""
-        self.pacer.pace()
-        params.setdefault("key", self.api_key)
-        self.requests_made += 1
-
-        def attempt() -> dict:
-            self.attempts += 1
-            return self.transport.request(path, params)
-
-        if self.obs is None:
-            return self.retry.call(attempt)
-
-        handles = self._endpoint_handles.get(path)
-        if handles is None:
-            handles = self._bind_endpoint(path)
-        m_requests, m_latency = handles
-        clock = self.obs.clock
-        attempts_before = self.attempts
-        start = clock()
-        try:
-            return self.retry.call(attempt)
-        finally:
-            m_latency.observe(clock() - start)
-            m_requests.inc()
-            self._m_attempts.inc(self.attempts - attempts_before)
-            if self.requests_made % _THROUGHPUT_EVERY == 0:
-                elapsed = clock() - self._t0
-                if elapsed > 0:
-                    self._m_throughput.set(self.requests_made / elapsed)
+        """One paced, retried API request (a window of one)."""
+        results, error = self.get_many([(path, params)])
+        if error is not None:
+            raise error
+        return results[0]
 
     def get_many(
         self, items: list[tuple[str, dict]]
@@ -179,9 +155,9 @@ class CrawlSession:
         pacing slots, same retry schedule (and jitter RNG draws), same
         transport-call order, so a crawl through a seeded
         :class:`~repro.steamapi.faults.FaultInjectingTransport` sees a
-        byte-identical fault sequence.  The speedup comes from hoisting
-        the per-request session bookkeeping (attribute lookups, metric
-        handle binding, retry-closure setup) out of the inner loop.
+        byte-identical fault sequence.  The per-request session
+        bookkeeping (attribute lookups, metric handle binding, retry
+        closure setup) is hoisted out of the inner loop.
 
         Returns ``(results, error)``.  On the first error that escapes
         the retry policy (a fatal error, or :class:`RetriesExhausted`),
@@ -190,39 +166,18 @@ class CrawlSession:
         payloads of the ``len(results)`` requests that succeeded and
         ``error`` the captured exception for item ``len(results)``.
         Items after the failed one are not issued.
+
+        The latency histogram is observed per request (its count must
+        equal ``requests_made``), but the counters only promise final
+        totals, so the request counter batches over runs of
+        same-endpoint items and the attempts counter flushes once per
+        window — one locked inc instead of two per request.
         """
         results: list[dict] = []
         pace = self.pacer.pace
         request = self.transport.request
         key = self.api_key
-        obs = self.obs
-        if obs is None:
-            for path, params in items:
-                pace()
-                if "key" not in params:
-                    params["key"] = key
-                self.requests_made += 1
-                self.attempts += 1
-                try:
-                    value = request(path, params)
-                except _FATAL as exc:
-                    return results, exc
-                except ApiError as exc:
-                    try:
-                        value = self.retry.resume(
-                            lambda: self._attempt(path, params), exc
-                        )
-                    except ApiError as final_exc:
-                        return results, final_exc
-                results.append(value)
-            return results, None
-        # Instrumented path: identical metric *totals* as per-item
-        # get() calls.  The latency histogram is observed per request
-        # (its count must equal requests_made), but the counters only
-        # promise final totals, so the request counter batches over
-        # runs of same-endpoint items and the attempts counter flushes
-        # once per window — one locked inc instead of two per request.
-        clock = obs.clock
+        clock = self.obs.clock
         handles = self._endpoint_handles
         attempts_start = self.attempts
         run_requests = None  # bound counter for the current path run
@@ -246,7 +201,7 @@ class CrawlSession:
             start = clock()
             try:
                 value = request(path, params)
-            except _FATAL as exc:
+            except FATAL_ERRORS as exc:
                 error = exc
             except ApiError as exc:
                 try:

@@ -93,12 +93,7 @@ def crawl_storefront(
                     checkpoint.advance(PHASE, position)
                     raise error
                 checkpoint.record_failure(PHASE, appids[position])
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
+                session.note_skipped(PHASE)
                 position += 1  # skip the poisoned app
             if position < len(appids) and position % checkpoint_every == 0:
                 checkpoint.advance(PHASE, position)

@@ -37,7 +37,7 @@ from repro.crawler.retry import RetriesExhausted, RetryPolicy
 from repro.crawler.runner import scrape_group_labels
 from repro.crawler.session import CrawlSession, unix_to_day
 from repro.delta.model import DatasetDelta, WorldDelta, dataset_delta
-from repro.obs import Obs, maybe_span
+from repro.obs import Obs
 from repro.steamapi.transport import Transport
 from repro.store.dataset import DatasetMeta, SteamDataset
 from repro.store.merge import UserDeltaBatch, apply_user_delta
@@ -95,12 +95,7 @@ def _refetch_profiles(
             if not skip_failed:
                 raise
             checkpoint.record_failure("delta_profiles", int(chunk[0]))
-            if session.obs is not None:
-                session.obs.counter(
-                    "crawler_skipped",
-                    "Identifiers skipped after persistent failures",
-                    ("phase",),
-                ).inc(phase="delta_profiles")
+            session.note_skipped("delta_profiles")
             continue
         for player in response["response"]["players"]:
             offsets.append(int(player["steamid"]) - constants.STEAMID_BASE)
@@ -151,23 +146,24 @@ def run_delta_crawl(
     )
     if retry is None:
         retry = RetryPolicy(sleeper=sleeper or (lambda s: None))
+    if obs is None:
+        obs = Obs()
     session = CrawlSession(
         transport=transport, pacer=pacer, retry=retry, obs=obs
     )
     if checkpoint is None:
         checkpoint = CrawlCheckpoint()
-    if obs is not None and checkpoint.obs is None:
-        checkpoint.obs = obs
+    checkpoint.obs = obs
 
     targets = world_delta.all_offsets()
     target_steamids = targets + constants.STEAMID_BASE
 
-    with maybe_span(obs, "delta_crawl", accounts=len(targets)):
-        with maybe_span(obs, "phase:delta_profiles"):
+    with obs.span("delta_crawl", accounts=len(targets)):
+        with obs.span("phase:delta_profiles"):
             offsets, created, countries, cities = _refetch_profiles(
                 session, target_steamids, checkpoint, skip_failed
             )
-        with maybe_span(obs, "phase:delta_details"):
+        with obs.span("phase:delta_details"):
             details = crawl_details(
                 session,
                 offsets + constants.STEAMID_BASE,
@@ -175,7 +171,7 @@ def run_delta_crawl(
                 skip_failed=skip_failed,
             )
 
-        with maybe_span(obs, "assemble:delta_merge"):
+        with obs.span("assemble:delta_merge"):
             catalog_appids = prior.catalog.appid.astype(np.int64)
             product = np.searchsorted(catalog_appids, details.lib_appid)
             product = np.clip(product, 0, max(len(catalog_appids) - 1, 0))
@@ -205,7 +201,7 @@ def run_delta_crawl(
         # A full crawl labels the top groups of *its* member counts; one
         # membership change can reshuffle that ranking, so re-label from
         # scratch over the merged counts rather than trusting the carry.
-        with maybe_span(obs, "phase:delta_groups"):
+        with obs.span("phase:delta_groups"):
             merged.groups.group_type[:] = int(GroupType.SPECIAL_INTEREST)
             merged.groups.focus_game[:] = -1
             scrape_group_labels(

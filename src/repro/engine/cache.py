@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.obs import Obs
+
 __all__ = ["StageCache", "CacheStats"]
 
 _MAGIC = b"RPROSTAGE1"
@@ -58,8 +60,9 @@ class StageCache:
     root: Path
     #: Prune oldest entries beyond this total size (None: unbounded).
     max_bytes: int | None = None
-    #: Observability hook; mirrors ``stats`` into engine_cache_* counters.
-    obs: Any = field(default=None, repr=False)
+    #: Mirrors ``stats`` into engine_cache_* counters; a private scope
+    #: is built when none is passed.
+    obs: Obs | None = field(default=None, repr=False)
     #: Test-only interleave hook: ``hooks(event, path)`` is called at
     #: the race-sensitive points (``get_before_read``,
     #: ``put_before_replace``, ``prune_before_unlink``) so concurrency
@@ -70,13 +73,14 @@ class StageCache:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root).expanduser()
+        if self.obs is None:
+            self.obs = Obs()
 
     def _count(self, event: str) -> None:
-        if self.obs is not None:
-            self.obs.counter(
-                f"engine_cache_{event}",
-                f"Stage cache {event}",
-            ).inc()
+        self.obs.counter(
+            f"engine_cache_{event}",
+            f"Stage cache {event}",
+        ).inc()
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"

@@ -57,7 +57,7 @@ from repro.engine.cache import StageCache
 from repro.engine.faults import EngineFaultPlan
 from repro.engine.fingerprint import stage_key
 from repro.engine.stage import StageContext, StageGraph
-from repro.obs import MetricsRegistry, Obs, Span, maybe_span
+from repro.obs import MetricsRegistry, Obs, Span
 from repro.obs.profiling import profiled_call
 
 __all__ = ["Engine", "EngineRun", "StageFailedError"]
@@ -174,6 +174,8 @@ class Engine:
 
     jobs: int = 1
     cache: StageCache | None = None
+    #: Stage spans and engine_* series land here; a private scope is
+    #: built when none is passed.
     obs: Obs | None = None
     #: Span/metric prefix for per-stage instrumentation.
     span_prefix: str = "engine:"
@@ -190,19 +192,22 @@ class Engine:
     #: (``repro analyze --profile``).
     profile: bool = False
 
+    def __post_init__(self) -> None:
+        if self.obs is None:
+            self.obs = Obs()
+
     def run(self, graph: StageGraph, ctx: StageContext) -> EngineRun:
         keys = self._stage_keys(graph, ctx)
         if self.jobs <= 1:
             run = self._run_serial(graph, ctx, keys)
         else:
             run = self._run_parallel(graph, ctx, keys)
-        if self.obs is not None:
-            self.obs.counter(
-                "engine_stages_executed", "Stages computed by the engine"
-            ).inc(len(run.executed))
-            self.obs.counter(
-                "engine_stages_cached", "Stages served from the stage cache"
-            ).inc(len(run.cached))
+        self.obs.counter(
+            "engine_stages_executed", "Stages computed by the engine"
+        ).inc(len(run.executed))
+        self.obs.counter(
+            "engine_stages_cached", "Stages served from the stage cache"
+        ).inc(len(run.cached))
         return run
 
     # -- shared helpers -------------------------------------------------------
@@ -243,19 +248,38 @@ class Engine:
         return keys
 
     def _observe(self, name: str, seconds: float) -> None:
-        if self.obs is not None:
-            self.obs.histogram(
-                "engine_stage_seconds",
-                "Wall time per analysis stage",
-                labelnames=("stage",),
-            ).observe(seconds, stage=name)
+        self.obs.histogram(
+            "engine_stage_seconds",
+            "Wall time per analysis stage",
+            labelnames=("stage",),
+        ).observe(seconds, stage=name)
 
     def _count(self, name: str, help_: str, n: int = 1) -> None:
-        if self.obs is not None and n:
+        if n:
             self.obs.counter(name, help_).inc(n)
 
     def _finish(self) -> dict[str, int] | None:
         return self.cache.stats.as_dict() if self.cache is not None else None
+
+    def _call(self, name, stage, local, timings, profiles) -> Any:
+        """Run one stage in this process, timing (and maybe profiling) it."""
+        start = time.perf_counter()
+        try:
+            if self.profile:
+                value, rows = profiled_call(
+                    stage.fn, local, **dict(stage.params)
+                )
+                if profiles is not None:
+                    profiles[name] = rows
+            else:
+                value = stage.fn(local, **dict(stage.params))
+        except Exception as exc:
+            # Purity makes stage exceptions deterministic: surface one
+            # typed error naming stage and cause instead of a raw
+            # traceback.
+            raise StageFailedError({name: exc}) from exc
+        timings[name] = time.perf_counter() - start
+        return value
 
     def _compute_serial(
         self,
@@ -294,31 +318,12 @@ class Engine:
                     continue
             local = ctx.with_deps({d: results[d] for d in stage.deps})
             span_name = f"{self.span_prefix}{name}"
-            sink_start = (
-                self.obs.clock()
-                if span_sink is not None and self.obs is not None
-                else None
-            )
-            with maybe_span(
-                self.obs if span_sink is None else None, span_name
-            ):
-                start = time.perf_counter()
-                try:
-                    if self.profile:
-                        value, rows = profiled_call(
-                            stage.fn, local, **dict(stage.params)
-                        )
-                        if profiles is not None:
-                            profiles[name] = rows
-                    else:
-                        value = stage.fn(local, **dict(stage.params))
-                except Exception as exc:
-                    # Purity makes stage exceptions deterministic:
-                    # surface one typed error naming stage and cause
-                    # instead of a raw traceback.
-                    raise StageFailedError({name: exc}) from exc
-                timings[name] = time.perf_counter() - start
-            if sink_start is not None:
+            if span_sink is None:
+                with self.obs.span(span_name):
+                    value = self._call(name, stage, local, timings, profiles)
+            else:
+                sink_start = self.obs.clock()
+                value = self._call(name, stage, local, timings, profiles)
                 span_sink[name] = Span(
                     name=span_name, start=sink_start, end=self.obs.clock()
                 )
@@ -582,14 +587,13 @@ class Engine:
                     timings[name] = seconds
                     if prof is not None:
                         profiles[name] = prof
-                    if self.obs is not None:
-                        # Rebase the worker's span (its own perf counter)
-                        # so it *ends* now on our clock, then park it for
-                        # the topo-ordered attach; merging the worker's
-                        # registry replaces the coordinator-side observe.
-                        span.shift(self.obs.clock() - (span.end or span.start))
-                        stage_spans[name] = span
-                        self.obs.registry.merge(metrics)
+                    # Rebase the worker's span (its own perf counter) so
+                    # it *ends* now on our clock, then park it for the
+                    # topo-ordered attach; merging the worker's registry
+                    # replaces the coordinator-side observe.
+                    span.shift(self.obs.clock() - (span.end or span.start))
+                    stage_spans[name] = span
+                    self.obs.registry.merge(metrics)
                     complete(name, value, from_cache=False)
                     key = keys[name]
                     if key is not None:
@@ -619,14 +623,13 @@ class Engine:
                     abandon_pool()
                 else:
                     pool.shutdown(wait=True, cancel_futures=True)
-            if self.obs is not None and stage_spans:
-                # Attach in topo order — the order the serial path opens
-                # spans in — so serial, parallel, and fault-recovery
-                # runs yield identical span trees and span ids.
-                for name in graph.topo_order:
-                    span = stage_spans.get(name)
-                    if span is not None:
-                        self.obs.tracer.attach(span)
+            # Attach in topo order — the order the serial path opens
+            # spans in — so serial, parallel, and fault-recovery runs
+            # yield identical span trees and span ids.
+            for name in graph.topo_order:
+                span = stage_spans.get(name)
+                if span is not None:
+                    self.obs.tracer.attach(span)
         return EngineRun(
             results=results,
             executed=tuple(executed),

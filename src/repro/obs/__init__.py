@@ -16,9 +16,9 @@ the same eyes:
   snapshots (``--metrics-out``), and console summaries
   (``obs summarize``).
 
-Everything hangs off one :class:`Obs` handle.  Instrumented code takes
-``obs=None`` and stays zero-overhead when observability is off; pass
-an :class:`Obs` to turn the lights on::
+Everything hangs off one :class:`Obs` handle, and every layer always
+records into one: an entry point given no :class:`Obs` builds a private
+one.  Pass your own to read, export, or trace what a run recorded::
 
     from repro.obs import Obs
     obs = Obs()
@@ -29,7 +29,7 @@ an :class:`Obs` to turn the lights on::
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.fsutil import atomic_write_text
@@ -61,7 +61,6 @@ __all__ = [
     "SLOTracker",
     "BurnWindow",
     "DEFAULT_WINDOWS",
-    "maybe_span",
     "FakeClock",
     "system_clock",
     "MetricsRegistry",
@@ -170,15 +169,3 @@ class Obs:
         """Save the span forest as a Chrome-trace JSON to ``path``."""
         return write_chrome_trace(path, self.snapshot())
 
-
-def maybe_span(obs: Obs | None, name: str, **attrs):
-    """A span when ``obs`` is live, a no-op context otherwise.
-
-    The idiom for instrumenting code whose observability is optional::
-
-        with maybe_span(obs, "phase:profiles"):
-            ...
-    """
-    if obs is None:
-        return nullcontext()
-    return obs.span(name, **attrs)

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import TRACE_ENV_VAR, Obs, maybe_span
+from repro.obs import TRACE_ENV_VAR, Obs
 from repro.pipeline.manifest import RunManifest, file_checksum
 from repro.simworld.config import WorldConfig
 from repro.simworld.world import SteamWorld
@@ -59,12 +59,16 @@ class PipelineSupervisor:
     #: Crawl over a real localhost HTTP server (the paper's topology);
     #: False short-circuits through the in-process transport.
     http: bool = True
+    #: Every step records here; a private scope is built when none is
+    #: passed.
     obs: Obs | None = None
     #: Steps resumed from cache in this invocation.
     resumed_this_run: list[str] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self.workdir = Path(self.workdir)
+        if self.obs is None:
+            self.obs = Obs()
 
     # -- manifest plumbing ----------------------------------------------------
 
@@ -92,11 +96,10 @@ class PipelineSupervisor:
         record.status = "cached"
         manifest.steps_resumed += 1
         self.resumed_this_run.append(step)
-        if self.obs is not None:
-            self.obs.counter(
-                "pipeline_steps_resumed",
-                "Pipeline steps served from a previous run's artifacts",
-            ).inc()
+        self.obs.counter(
+            "pipeline_steps_resumed",
+            "Pipeline steps served from a previous run's artifacts",
+        ).inc()
         manifest.save()
 
     def _start(self, manifest: RunManifest, step: str) -> StepTimer:
@@ -147,12 +150,12 @@ class PipelineSupervisor:
         # Export the trace for the duration of the run: anything we
         # spawn (engine pool workers, benchmark subprocesses, nested
         # tooling) joins this run's trace via REPRO_TRACE.
-        trace = self.obs.trace if self.obs is not None else None
+        trace = self.obs.trace
         saved_env = os.environ.get(TRACE_ENV_VAR)
         if trace is not None:
             trace.to_env()
         try:
-            with maybe_span(self.obs, "pipeline", users=self.users):
+            with self.obs.span("pipeline", users=self.users):
                 world = self._step_generate(manifest)
                 self._step_crawl(manifest, world)
                 self._step_analyze(manifest)
@@ -178,7 +181,7 @@ class PipelineSupervisor:
             return None
         timer = self._start(manifest, "generate")
         try:
-            with maybe_span(self.obs, "pipeline:generate"):
+            with self.obs.span("pipeline:generate"):
                 world = SteamWorld.generate(
                     WorldConfig(n_users=self.users, seed=self.seed),
                     obs=self.obs,
@@ -234,7 +237,7 @@ class PipelineSupervisor:
         serve_timer = self._start(manifest, "serve")
         timer = self._start(manifest, "crawl")
         try:
-            with maybe_span(self.obs, "pipeline:crawl"):
+            with self.obs.span("pipeline:crawl"):
                 if self.http:
                     from repro.steamapi.http_client import HttpTransport
                     from repro.steamapi.http_server import serve as serve_http
@@ -243,8 +246,8 @@ class PipelineSupervisor:
                         result = run_full_crawl(
                             HttpTransport(
                                 server.base_url,
-                                trace=self.obs.trace if self.obs else None,
-                                tracer=self.obs.tracer if self.obs else None,
+                                trace=self.obs.trace,
+                                tracer=self.obs.tracer,
                             ),
                             checkpoint=checkpoint,
                             snapshot2=world.dataset.snapshot2,
@@ -297,7 +300,7 @@ class PipelineSupervisor:
             return
         timer = self._start(manifest, "analyze")
         try:
-            with maybe_span(self.obs, "pipeline:analyze"):
+            with self.obs.span("pipeline:analyze"):
                 dataset = load_dataset(self.workdir / "crawled.npz")
                 study = SteamStudy.from_dataset(dataset)
                 report = study.run(

@@ -47,7 +47,7 @@ from repro.core.percentiles import (
 )
 from repro.engine import Engine, EngineRun, Stage, StageContext, StageGraph
 from repro.engine.cache import StageCache
-from repro.obs import Obs, maybe_span
+from repro.obs import Obs
 from repro.steamapi.deadline import check_deadline
 from repro.steamapi.errors import BadRequestError, NotFoundError
 from repro.store import tables as tables_mod
@@ -279,10 +279,12 @@ class AnalyticsStore:
         stages at all — every result is a cache hit keyed on the
         dataset fingerprint plus stage code versions.
         """
+        if obs is None:
+            obs = Obs()
         graph = build_serving_graph()
         config = {"serving_max_tail": max_tail, "serving_seed": seed}
         engine = Engine(jobs=jobs, cache=cache, obs=obs, span_prefix="serving:")
-        with maybe_span(obs, "serving:build", jobs=jobs, stages=len(graph.stages)):
+        with obs.span("serving:build", jobs=jobs, stages=len(graph.stages)):
             run = engine.run(graph, StageContext(dataset=dataset, config=config))
         results = run.results
         return cls(

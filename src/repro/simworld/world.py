@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import constants
-from repro.obs import Obs, maybe_span
+from repro.obs import Obs
 from repro.simworld import accounts as accounts_mod
 from repro.simworld import achievements as ach_mod
 from repro.simworld import catalog as catalog_mod
@@ -48,6 +48,8 @@ class SteamWorld:
     friend_graph: friends_mod.FriendGraph = field(repr=False)
     ownership: ownership_mod.Ownership = field(repr=False)
     playtimes: playtime_mod.Playtimes = field(repr=False)
+    #: The scope generation recorded its spans into.
+    obs: Obs | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def generate(
@@ -60,42 +62,45 @@ class SteamWorld:
         """Generate a world.
 
         Either pass a full :class:`WorldConfig` or keyword overrides for
-        its top-level fields (``n_users=...``, ``seed=...``).  ``obs``
-        records a span per generation stage (see :mod:`repro.obs`).
+        its top-level fields (``n_users=...``, ``seed=...``).  A span
+        per generation stage lands on ``obs`` (a private
+        :class:`~repro.obs.Obs` when omitted; see :mod:`repro.obs`).
         """
         if config is None:
             config = WorldConfig(**kwargs)
         elif kwargs:
             raise TypeError("pass either a config or keyword overrides")
+        if obs is None:
+            obs = Obs()
         seed = config.seed
         n = config.n_users
 
-        with maybe_span(obs, "generate", n_users=n, seed=seed):
-            with maybe_span(obs, "generate:geography"):
+        with obs.span("generate", n_users=n, seed=seed):
+            with obs.span("generate:geography"):
                 geography = geography_mod.build_geography(
                     substream(seed, "geography"), n, config.geography
                 )
-            with maybe_span(obs, "generate:accounts"):
+            with obs.span("generate:accounts"):
                 accounts = accounts_mod.build_accounts(
                     substream(seed, "accounts"), n, config.social
                 )
-            with maybe_span(obs, "generate:catalog"):
+            with obs.span("generate:catalog"):
                 catalog = catalog_mod.build_catalog(
                     substream(seed, "catalog"), config.catalog
                 )
-            with maybe_span(obs, "generate:latents"):
+            with obs.span("generate:latents"):
                 latents = draw_latents(
                     substream(seed, "latents"), n, config.factors
                 )
 
-            with maybe_span(obs, "generate:ownership"):
+            with obs.span("generate:ownership"):
                 ownership = ownership_mod.build_ownership(
                     substream(seed, "ownership"),
                     latents,
                     catalog,
                     config.ownership,
                 )
-            with maybe_span(obs, "generate:playtime"):
+            with obs.span("generate:playtime"):
                 playtimes = playtime_mod.build_playtimes(
                     substream(seed, "playtime"),
                     latents,
@@ -114,7 +119,7 @@ class SteamWorld:
                 )
                 total_min_user = library.user_total_min()
 
-            with maybe_span(obs, "generate:friends"):
+            with obs.span("generate:friends"):
                 friend_graph = friends_mod.build_friends(
                     substream(seed, "friends"),
                     latents,
@@ -125,7 +130,7 @@ class SteamWorld:
                     value_cents,
                     total_min_user,
                 )
-            with maybe_span(obs, "generate:groups"):
+            with obs.span("generate:groups"):
                 group_table = groups_mod.build_groups(
                     substream(seed, "groups"),
                     latents,
@@ -135,13 +140,13 @@ class SteamWorld:
                     entry_total_min=playtimes.total_min,
                     user_total_min=total_min_user,
                 )
-            with maybe_span(obs, "generate:achievements"):
+            with obs.span("generate:achievements"):
                 achievements = ach_mod.build_achievements(
                     substream(seed, "achievements"),
                     catalog,
                     config.achievements,
                 )
-            with maybe_span(obs, "generate:evolution"):
+            with obs.span("generate:evolution"):
                 snapshot2 = evolution_mod.build_snapshot2(
                     substream(seed, "evolution"),
                     latents,
@@ -154,7 +159,7 @@ class SteamWorld:
                     config.playtime,
                 )
 
-            with maybe_span(obs, "generate:assemble"):
+            with obs.span("generate:assemble"):
                 account_table = AccountTable(
                     id_offset=accounts.id_offset,
                     created_day=accounts.created_day,
@@ -193,6 +198,7 @@ class SteamWorld:
             friend_graph=friend_graph,
             ownership=ownership,
             playtimes=playtimes,
+            obs=obs,
         )
 
     def player_achievements(self):

@@ -31,6 +31,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 
+from repro.obs import Obs
 from repro.steamapi.errors import (
     AbortedResponse,
     ApiError,
@@ -174,18 +175,16 @@ class FaultInjectingTransport:
     """
 
     def __init__(
-        self, inner: Transport, plan: FaultPlan, obs=None
+        self, inner: Transport, plan: FaultPlan, obs: Obs | None = None
     ) -> None:
         self.inner = inner
         self.plan = plan
-        self._m_injected = (
-            obs.registry.counter(
-                "steamapi_injected_faults",
-                "Faults injected by the chaos transport, by kind",
-                ("kind",),
-            )
-            if obs is not None
-            else None
+        if obs is None:
+            obs = Obs()
+        self._m_injected = obs.counter(
+            "steamapi_injected_faults",
+            "Faults injected by the chaos transport, by kind",
+            ("kind",),
         )
         self.fault_counts: dict[str, int] = {k: 0 for k in FAULT_KINDS}
         self.faults_by_endpoint: dict[str, int] = {}
@@ -213,8 +212,7 @@ class FaultInjectingTransport:
             self.faults_by_endpoint[path] = (
                 self.faults_by_endpoint.get(path, 0) + 1
             )
-        if self._m_injected is not None:
-            self._m_injected.inc(kind=kind)
+        self._m_injected.inc(kind=kind)
         if kind == "rate_limit":
             raise RateLimitedError(
                 "injected rate limit", retry_after=retry_after

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from contextlib import nullcontext
@@ -119,6 +120,12 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
     joins them against one shared deadline and returns whichever are
     still alive, so ``close()`` is bounded even when a handler is
     wedged mid-request behind a stalled client socket.
+
+    Each connection is either *idle* (a keep-alive socket waiting for
+    its next request line) or *busy* (a request read, its reply not yet
+    written).  :meth:`drain` shuts idle connections down at once and
+    lets busy ones finish their request, after which they close instead
+    of waiting for another.
     """
 
     daemon_threads = True
@@ -130,6 +137,9 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
         super().__init__(*args, **kwargs)
         self._handler_threads: set[threading.Thread] = set()
         self._handler_lock = threading.Lock()
+        #: Connections waiting for a request line.
+        self._idle: set[socket.socket] = set()
+        self._draining = False
 
     def process_request_thread(self, request, client_address) -> None:
         thread = threading.current_thread()
@@ -140,16 +150,32 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
         finally:
             with self._handler_lock:
                 self._handler_threads.discard(thread)
+                self._idle.discard(request)
+
+    def mark_idle(self, conn: socket.socket, idle: bool) -> bool:
+        """Track ``conn`` as idle or busy; False once draining."""
+        with self._handler_lock:
+            (self._idle.add if idle else self._idle.discard)(conn)
+            return not self._draining
 
     def drain(self, timeout: float) -> list[threading.Thread]:
         """Join in-flight handlers for at most ``timeout`` seconds total.
 
-        Returns the threads that were still alive at the deadline
-        (daemonic, so they cannot keep the process hostage).
+        Idle keep-alive connections are shut down first, so only
+        handlers mid-request count against the deadline.  Returns the
+        threads that were still alive at the deadline (daemonic, so
+        they cannot keep the process hostage).
         """
         deadline = time.monotonic() + timeout
         with self._handler_lock:
+            self._draining = True
+            idle = list(self._idle)
             threads = list(self._handler_threads)
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client hung up first
         for thread in threads:
             thread.join(max(0.0, deadline - time.monotonic()))
         return [thread for thread in threads if thread.is_alive()]
@@ -196,6 +222,21 @@ def _make_handler(
         #: StreamRequestHandler applies this to the connection socket,
         #: bounding every read *and* write — the slow-client guard.
         timeout = limits.socket_timeout
+
+        def handle_one_request(self) -> None:
+            # Idle until the next request line arrives, busy from then
+            # on; a draining server closes the connection at either
+            # edge (one that raced the drain was already shut down).
+            if not self.server.mark_idle(self.connection, True):
+                self.close_connection = True
+                return
+            super().handle_one_request()
+
+        def parse_request(self) -> bool:
+            if not self.server.mark_idle(self.connection, False):
+                self.close_connection = True
+                return False
+            return super().parse_request()
 
         def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
             start = obs.clock()
@@ -504,7 +545,10 @@ def serve_dispatch(
         (host, port),
         _make_handler(dispatch, obs, access_log, route_of, limits),
     )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # close() waits for the accept loop's next poll (stdlib: 0.5 s).
+    thread = threading.Thread(
+        target=server.serve_forever, args=(0.05,), daemon=True
+    )
     thread.start()
     return ApiHttpServer(
         server=server, thread=thread, faults=faults, obs=obs

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from repro import constants
+from repro.obs import Obs
 from repro.steamapi.errors import (
     BadRequestError,
     NotFoundError,
@@ -28,6 +29,13 @@ from repro.store.dataset import SteamDataset
 __all__ = ["SteamApiService", "DEFAULT_API_KEY"]
 
 DEFAULT_API_KEY = "REPRO-DEFAULT-KEY"
+
+#: Endpoint labels, one per route (``dispatch`` maps paths to them).
+ENDPOINTS = (
+    "GetPlayerSummaries", "GetFriendList", "GetOwnedGames",
+    "GetUserGroupList", "GetAppList", "GetGlobalAchievementPercentages",
+    "appdetails", "group_profile",
+)
 
 #: Max SteamIDs accepted by GetPlayerSummaries, as documented by Valve.
 MAX_SUMMARY_BATCH = 100
@@ -58,7 +66,7 @@ class SteamApiService:
         require_key: bool = True,
         private_rate: float = 0.0,
         private_seed: int = 0,
-        obs=None,
+        obs: Obs | None = None,
     ) -> None:
         """``private_rate`` marks that share of profiles private: their
         summaries still resolve, but the per-user detail endpoints refuse
@@ -77,22 +85,23 @@ class SteamApiService:
         self.require_key = require_key
         self._buckets: dict[str, TokenBucket] = {}
         self.register_key(DEFAULT_API_KEY)
-        # Request accounting (per endpoint), for throughput benchmarks.
-        self.request_counts: dict[str, int] = {}
-        # Optional server-side observability (see repro.obs).
-        if obs is not None:
-            self._m_served = obs.registry.counter(
-                "steamapi_server_requests",
-                "Requests served, by endpoint",
-                ("endpoint",),
-            )
-            self._m_rejected = obs.registry.counter(
-                "steamapi_server_rate_limited",
-                "Requests rejected by the per-key rate limiter",
-            )
-        else:
-            self._m_served = None
-            self._m_rejected = None
+        # Server-side accounting: every dispatch to an endpoint counts,
+        # rejected or not, through a child bound once per endpoint.
+        if obs is None:
+            obs = Obs()
+        self.obs = obs
+        self._requests = obs.counter(
+            "steamapi_server_requests",
+            "Requests dispatched to each endpoint (rejections included)",
+            ("endpoint",),
+        )
+        self._m_requests = {
+            name: self._requests.labels(endpoint=name) for name in ENDPOINTS
+        }
+        self._m_rejected = obs.counter(
+            "steamapi_server_rate_limited",
+            "Requests rejected by the per-key rate limiter",
+        ).labels()
 
         offsets = dataset.accounts.id_offset
         if np.any(np.diff(offsets) <= 0):
@@ -183,20 +192,21 @@ class SteamApiService:
 
     # -- shared plumbing ------------------------------------------------------
 
+    def request_count(self, endpoint: str) -> int:
+        """Requests dispatched to ``endpoint`` (an :data:`ENDPOINTS` label)."""
+        return int(self._requests.value(endpoint=endpoint))
+
     def _charge(self, key: str | None, endpoint: str) -> None:
+        self._m_requests[endpoint].inc()
         if self.require_key:
             if key is None or key not in self._buckets:
                 raise UnauthorizedError("missing or unknown API key")
             bucket = self._buckets[key]
             if not bucket.try_acquire():
-                if self._m_rejected is not None:
-                    self._m_rejected.inc()
+                self._m_rejected.inc()
                 raise RateLimitedError(
                     "rate limit exceeded", retry_after=bucket.wait_time()
                 )
-        self.request_counts[endpoint] = self.request_counts.get(endpoint, 0) + 1
-        if self._m_served is not None:
-            self._m_served.inc(endpoint=endpoint)
 
     def _user_index(self, steamid: int) -> int:
         offset = int(steamid) - constants.STEAMID_BASE

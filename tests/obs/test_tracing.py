@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import FakeClock, Obs, Tracer, maybe_span
+from repro.obs import FakeClock, Obs, Tracer
 
 
 class TestFakeClock:
@@ -73,20 +73,6 @@ class TestTracer:
         with tracer.span("second"):
             pass
         assert [r.name for r in tracer.roots()] == ["first", "second"]
-
-
-class TestMaybeSpan:
-    def test_none_obs_is_noop(self):
-        with maybe_span(None, "anything"):
-            pass  # must not raise, record nothing
-
-    def test_live_obs_records(self):
-        obs = Obs(clock=FakeClock(tick=1.0))
-        with maybe_span(obs, "work", n=3):
-            pass
-        roots = obs.tracer.roots()
-        assert roots[0].name == "work"
-        assert roots[0].attrs == {"n": 3}
 
 
 class TestObsTimed:

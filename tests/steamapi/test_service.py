@@ -186,7 +186,36 @@ class TestAuthAndRateLimit:
         service = SteamApiService.from_world(small_world)
         service.get_app_list(DEFAULT_API_KEY)
         service.get_app_list(DEFAULT_API_KEY)
-        assert service.request_counts["GetAppList"] == 2
+        assert service.request_count("GetAppList") == 2
+
+    def test_request_count_per_endpoint_includes_rejections(
+        self, small_world, a_steamid
+    ):
+        clock = VirtualClock()
+        service = SteamApiService.from_world(
+            small_world, rate_per_second=1.0, burst=2.0, clock=clock
+        )
+        sid, _ = a_steamid
+        calls = [
+            ("/ISteamApps/GetAppList/v2", {}),
+            ("/ISteamUser/GetFriendList/v1", {"steamid": sid}),
+            ("/ISteamApps/GetAppList/v2", {}),  # bucket empty from here
+            ("/ISteamUser/GetFriendList/v1", {"steamid": sid}),
+            ("/IPlayerService/GetOwnedGames/v1", {"steamid": sid}),
+        ]
+        rejected = 0
+        for path, params in calls:
+            try:
+                service.dispatch(path, {"key": DEFAULT_API_KEY, **params})
+            except RateLimitedError:
+                rejected += 1
+        assert rejected == 3
+        assert service.request_count("GetAppList") == 2
+        assert service.request_count("GetFriendList") == 2
+        assert service.request_count("GetOwnedGames") == 1
+        assert service.request_count("GetPlayerSummaries") == 0
+        registry = service.obs.registry
+        assert registry.get("steamapi_server_rate_limited").value() == 3
 
 
 class TestDispatch:

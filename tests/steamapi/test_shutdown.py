@@ -12,6 +12,7 @@ wedged mid-request (or simply holding a keep-alive socket open) made
 
 from __future__ import annotations
 
+import http.client
 import threading
 import time
 import urllib.request
@@ -150,3 +151,38 @@ class TestBoundedClose:
         # After close the socket is gone: new connections must fail.
         with pytest.raises(OSError):
             urllib.request.urlopen(server.base_url + "/ping", timeout=2)
+
+
+class TestIdleKeepAlive:
+    def test_close_shuts_idle_keepalive_connections(self, caplog):
+        """A keep-alive socket waiting for its next request is idle, not
+        in flight: ``close()`` shuts it down instead of waiting out the
+        drain deadline on its handler thread."""
+        obs = Obs()
+        server = serve_dispatch(
+            lambda path, params: {"ok": True}, access_log=False, obs=obs
+        )
+        host, port = server.server.server_address[:2]
+        clients = []
+        for i in range(3):
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", f"/ping/{i}")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, idle
+            clients.append(conn)
+        try:
+            with caplog.at_level("WARNING", logger="repro.steamapi.http"):
+                start = time.monotonic()
+                stuck = server.close()
+                elapsed = time.monotonic() - start
+            assert stuck == []
+            assert elapsed < 0.5
+            assert obs.counter("http_drain_leftover_threads").value() == 0
+            assert not any(
+                "drain deadline" in record.message
+                for record in caplog.records
+            )
+        finally:
+            for conn in clients:
+                conn.close()
